@@ -1,34 +1,30 @@
 (* Bus scaling suite: an N-member token ring driven for a fixed event
-   budget, measuring wall-clock deliveries/sec plus deploy time — each
-   size both on the classic single-domain bus and on a sharded bus
-   (broker domains with batched inter-domain delivery).
+   budget, measuring wall-clock deliveries/sec plus deploy time.
 
    Run with: dune exec bench/main.exe -- scaling            (full sweep)
              dune exec bench/main.exe -- scaling --quick    (CI smoke)
 
-   The full sweep writes every row (N = 10 .. 100k, single and multi
-   domain) to BENCH_scaling.json and gates on (a) the multi-domain
-   speedup at N = 1000 and (b) the 100k deploy completing in bounded
-   time. The quick sweep writes BENCH_scaling_quick.json — a separate
-   artifact, so a CI run can never overwrite the full sweep's rows —
-   and gates multi-domain >= single-domain throughput. *)
+   The full sweep writes every row (N = 10 .. 100k) to
+   BENCH_scaling.json and gates on the 100k deploy completing in
+   bounded time. The quick sweep writes BENCH_scaling_quick.json — a
+   separate artifact, so a CI run can never overwrite the full sweep's
+   rows. *)
 
 module Bus = Dr_bus.Bus
 module Ring = Dr_workloads.Ring
 
 type row = {
   sc_n : int;
-  sc_shards : int;
   sc_deploy_ms : float;
   sc_events : int;
   sc_deliveries : int;
   sc_rate : float;  (* deliveries per wall-clock second *)
 }
 
-let run_one ~n ~shards ~events =
+let run_one ~n ~events =
   let system = Ring.load_large ~n in
   let t0 = Unix.gettimeofday () in
-  let bus = Ring.start_large system ~shards ~n ~tokens:(max 1 (n / 10)) in
+  let bus = Ring.start_large system ~n ~tokens:(max 1 (n / 10)) in
   let t1 = Unix.gettimeofday () in
   Bus.run ~max_events:events bus;
   let t2 = Unix.gettimeofday () in
@@ -38,56 +34,39 @@ let run_one ~n ~shards ~events =
       0 (Ring.members ~n)
   in
   { sc_n = n;
-    sc_shards = shards;
     sc_deploy_ms = (t1 -. t0) *. 1e3;
     sc_events = events;
     sc_deliveries = deliveries;
     sc_rate = float_of_int deliveries /. (t2 -. t1) }
 
-(* More domains pay off once the fleet is large enough to amortize the
-   per-batch drain over many same-instant deliveries. *)
-let multi_shards n = if n >= 10_000 then 8 else 4
-
 (* The event budget must grow with N so large rings still complete whole
-   passes: a sharded pass costs ~2 events per member. *)
+   passes: a delivery costs ~2 events (the delivery and the reader's
+   quantum). *)
 let events_for ?(base = 200_000) n = max base (4 * n)
 
-let find_row rows ~n ~multi =
-  List.find_opt
-    (fun r -> r.sc_n = n && (if multi then r.sc_shards > 1 else r.sc_shards = 1))
-    rows
-
-let speedup rows ~n =
-  match (find_row rows ~n ~multi:false, find_row rows ~n ~multi:true) with
-  | Some s, Some m when s.sc_rate > 0.0 -> Some (s, m, m.sc_rate /. s.sc_rate)
-  | _ -> None
+let find_row rows ~n = List.find_opt (fun r -> r.sc_n = n) rows
 
 let header () =
   print_newline ();
   print_endline "==============================================================";
   print_endline "Bus scaling: N-member ring, fixed event budget";
   print_endline "==============================================================";
-  Printf.printf "%8s %7s %12s %10s %12s %16s\n" "N" "shards" "deploy(ms)"
-    "events" "deliveries" "deliveries/sec";
-  Printf.printf "%s\n" (String.make 70 '-')
+  Printf.printf "%8s %12s %10s %12s %16s\n" "N" "deploy(ms)" "events"
+    "deliveries" "deliveries/sec";
+  Printf.printf "%s\n" (String.make 62 '-')
 
 let sweep ~sizes ~base_events =
-  List.concat_map
+  List.map
     (fun n ->
-      let events = events_for ~base:base_events n in
-      List.map
-        (fun shards ->
-          let r = run_one ~n ~shards ~events in
-          Printf.printf "%8d %7d %12.1f %10d %12d %16.0f\n%!" r.sc_n
-            r.sc_shards r.sc_deploy_ms r.sc_events r.sc_deliveries r.sc_rate;
-          r)
-        [ 1; multi_shards n ])
+      let r = run_one ~n ~events:(events_for ~base:base_events n) in
+      Printf.printf "%8d %12.1f %10d %12d %16.0f\n%!" r.sc_n r.sc_deploy_ms
+        r.sc_events r.sc_deliveries r.sc_rate;
+      r)
     sizes
 
 let row_json r =
   Json_out.obj
     [ ("n", Json_out.int r.sc_n);
-      ("shards", Json_out.int r.sc_shards);
       ("deploy_ms", Json_out.float r.sc_deploy_ms);
       ("events", Json_out.int r.sc_events);
       ("deliveries", Json_out.int r.sc_deliveries);
@@ -105,59 +84,31 @@ let write_artifact ~path rows =
 let assert_full_rows ~sizes rows =
   List.iter
     (fun n ->
-      List.iter
-        (fun multi ->
-          if find_row rows ~n ~multi = None then
-            failwith
-              (Printf.sprintf
-                 "scaling: full artifact is missing the N=%d %s-domain row" n
-                 (if multi then "multi" else "single")))
-        [ false; true ])
+      if find_row rows ~n = None then
+        failwith
+          (Printf.sprintf "scaling: full artifact is missing the N=%d row" n))
     sizes
-
-let gate_speedup rows ~n ~minimum =
-  match speedup rows ~n with
-  | None ->
-    prerr_endline
-      (Printf.sprintf "scaling: GATE FAILED: no rate comparison at N=%d" n);
-    exit 1
-  | Some (s, m, ratio) ->
-    Printf.printf
-      "N=%d: single-domain %.0f del/s, %d-domain %.0f del/s (%.2fx, gate \
-       >=%.1fx)\n%!"
-      n s.sc_rate m.sc_shards m.sc_rate ratio minimum;
-    if ratio < minimum then begin
-      prerr_endline
-        (Printf.sprintf
-           "scaling: GATE FAILED: %.2fx < %.1fx multi-domain speedup at N=%d"
-           ratio minimum n);
-      exit 1
-    end
 
 let full ?(sizes = [ 10; 100; 1000; 10_000; 100_000 ]) () =
   header ();
   let rows = sweep ~sizes ~base_events:200_000 in
   (* deploy-time gate: the 100k-instance deploy must complete in bounded
      wall-clock time, not just eventually *)
-  (match find_row rows ~n:100_000 ~multi:true with
-  | Some r when List.mem 100_000 sizes ->
-    Printf.printf "N=100000 multi-domain deploy: %.1f ms (gate <= 120000)\n%!"
+  (match find_row rows ~n:100_000 with
+  | Some r ->
+    Printf.printf "N=100000 deploy: %.1f ms (gate <= 120000)\n%!"
       r.sc_deploy_ms;
     if r.sc_deploy_ms > 120_000.0 then begin
       prerr_endline "scaling: GATE FAILED: 100k deploy exceeded 120s";
       exit 1
     end
-  | _ -> ());
-  gate_speedup rows ~n:1000 ~minimum:2.0;
+  | None -> ());
   assert_full_rows ~sizes rows;
   write_artifact ~path:"BENCH_scaling.json" rows
 
 let quick ?(sizes = [ 10; 1000; 10_000 ]) () =
   header ();
   let rows = sweep ~sizes ~base_events:100_000 in
-  (* CI gate: sharding must never cost throughput at the largest quick
-     size; the 2x bar is enforced by the full sweep *)
-  gate_speedup rows ~n:(List.fold_left max 0 sizes) ~minimum:1.0;
   write_artifact ~path:"BENCH_scaling_quick.json" rows
 
 let all ?quick:(q = false) () = if q then quick () else full ()

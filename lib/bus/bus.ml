@@ -19,23 +19,6 @@ type params = {
 let default_params =
   { instr_cost = 0.01; quantum = 64; local_latency = 0.1; remote_latency = 1.0 }
 
-(* Sharded-mode hot-path structures (see [Domain]): each process holds
-   a generational handle into its broker domain's arena, plus a memo of
-   its last-used out-route set with destinations pre-resolved to
-   handles. The memo is versioned against [routes_version] (bumped on
-   any route/roster change) and its handles are gen-checked on use, so
-   a kill or replace can never leave a stale entry aliasing a reused
-   slot — at worst the memo falls back to the by-name lookup and
-   re-warms itself. *)
-type dest_entry = { de_dst : endpoint; mutable de_handle : Domain.handle }
-
-type out_memo = {
-  om_iface : string;
-  om_version : int;
-  om_peers : endpoint list;  (* send-time fan-out set, for redirects *)
-  om_dests : dest_entry array;
-}
-
 type process = {
   p_instance : string;
   p_module : string;
@@ -57,17 +40,6 @@ type process = {
   mutable p_scheduled : bool;
   p_started : float;
   mutable p_ended : float option;
-  mutable p_handle : Domain.handle;
-  mutable p_out_memo : out_memo option;
-}
-
-(* A message parked in an inter-domain batch: everything the classic
-   per-message delivery event captured in its closure, as a record. *)
-type pending_msg = {
-  bm_src : endpoint;
-  bm_dst : dest_entry;
-  bm_peers : endpoint list;
-  bm_value : Value.t;
 }
 
 (* Hot-path data structures: [live] indexes the current process per
@@ -112,7 +84,7 @@ let default_detector_config = { dc_period = 1.0; dc_timeout = 3.0; dc_threshold 
 exception Controller_crash
 
 (* How a value reached an input queue: [Fresh] is a first-time delivery
-   (classic path or the reliable layer's frame arrival), [Transfer] a
+   (a bus delivery or the reliable layer's frame arrival), [Transfer] a
    requeue of something already delivered once (a replacement's
    [copy_queue]). The model checker's exactly-once monitor counts only
    [Fresh]. *)
@@ -135,17 +107,6 @@ type t = {
   corrupt_images : (string, unit) Hashtbl.t;
   mutable quarantine_rev : quarantined list;
   mutable bus_metrics : Metrics.t option;
-  (* broker domains: [shards] partitions of the fleet, each with an
-     arena process table; [inbound] holds the per-destination-domain
-     delivery batches. With [shards = 1] the classic per-message send
-     path runs unchanged (golden traces are pinned to it) and the
-     arenas are maintained but never consulted on the hot path. *)
-  shards : int;
-  domains : process Domain.t array;
-  inbound : pending_msg Domain.Batch.t array;
-  mutable spawn_rr : int;  (* round-robin domain assignment counter *)
-  mutable routes_version : int;
-  dom_labels : (string * string) list array;  (* prebuilt metric labels *)
   (* durable control plane (see Journal/Recovery in dr_reconfig): the
      write-ahead log the journal appends to, plus the controller fault
      model — a counter of control-log appends and an optional armed
@@ -158,8 +119,8 @@ type t = {
   mutable ctl_next_sid : int;
   mutable ctl_open : int;  (* scripts begun and not yet committed/aborted *)
   (* drain-aware routing: replica siblings and the members currently
-     draining. Both empty outside a rolling replacement, so the classic
-     delivery paths never consult them (golden traces untouched). *)
+     draining. Both empty outside a rolling replacement, so the delivery
+     paths never consult them (golden traces untouched). *)
   drain_members : (string, string array) Hashtbl.t;
   draining : (string, unit) Hashtbl.t;
   mutable drain_cursor : int;
@@ -200,30 +161,7 @@ let install_collectors t registry =
                 ~labels:[ ("instance", instance); ("iface", iface) ]
                 (float_of_int (Queue.length q)))
             p.p_queues)
-        t.live;
-      (* per-domain attribution: the sharded hot path bumps plain
-         counters on the Domain records; surface them (and batched
-         in-flight, which the classic per-message gauge writes don't
-         cover) only at snapshot time *)
-      if t.shards > 1 then begin
-        let in_flight = ref 0 in
-        Array.iter
-          (fun b -> in_flight := !in_flight + Domain.Batch.in_flight b)
-          t.inbound;
-        Metrics.set_gauge r "bus.in_flight" (float_of_int !in_flight);
-        Array.iteri
-          (fun i d ->
-            let labels = t.dom_labels.(i) in
-            Metrics.set_gauge r "bus.domain_live" ~labels
-              (float_of_int (Domain.live_count d));
-            Metrics.set_gauge r "bus.domain_routed" ~labels
-              (float_of_int (Domain.routed d));
-            Metrics.set_gauge r "bus.domain_delivered" ~labels
-              (float_of_int (Domain.delivered d));
-            Metrics.set_gauge r "bus.domain_batches" ~labels
-              (float_of_int (Domain.batches d)))
-          t.domains
-      end)
+        t.live)
 
 let set_metrics t registry =
   t.bus_metrics <- Some registry;
@@ -231,8 +169,7 @@ let set_metrics t registry =
 
 let metrics t = t.bus_metrics
 
-let create ?(params = default_params) ?(shards = 1) ~hosts () =
-  let shards = max 1 shards in
+let create ?(params = default_params) ~hosts () =
   let t =
     { engine = Engine.create ();
       trace = Trace.create ();
@@ -250,13 +187,6 @@ let create ?(params = default_params) ?(shards = 1) ~hosts () =
       corrupt_images = Hashtbl.create 4;
       quarantine_rev = [];
       bus_metrics = None;
-      shards;
-      domains = Array.init shards (fun i -> Domain.create ~id:i);
-      inbound = Array.init shards (fun _ -> Domain.Batch.create ());
-      spawn_rr = 0;
-      routes_version = 0;
-      dom_labels =
-        Array.init shards (fun i -> [ ("domain", string_of_int i) ]);
       bus_wal = None;
       ctl_appends = 0;
       ctl_crash_at = None;
@@ -272,8 +202,6 @@ let create ?(params = default_params) ?(shards = 1) ~hosts () =
   in
   if Metrics.enabled_from_env () then set_metrics t (Metrics.create ());
   t
-
-let shard_count t = t.shards
 
 let engine t = t.engine
 let trace t = t.trace
@@ -550,8 +478,7 @@ and run_quantum t p =
   in
   if p.p_alive && not already_stopped then begin
     (* the machine's budgeted loop pays one status check per instruction
-       instead of a [step] call, and dispatches fused pairs when the
-       instance has fusion enabled *)
+       instead of a [step] call *)
     let executed = Machine.exec_budget p.p_machine t.bus_params.quantum in
     (* the guard keeps the label list from being allocated per quantum
        when no registry is attached — this is the hottest call site *)
@@ -562,24 +489,12 @@ and run_quantum t p =
     match Machine.status p.p_machine with
     | Machine.Ready -> schedule_quantum t p ~delay:(Float.max cost t.bus_params.instr_cost)
     | Machine.Sleeping duration ->
-      (* sharded mode fuses the wake with the next quantum: the classic
-         path schedules a wake event that then schedules a delay-0
-         quantum event (two pops per sleep); at shards > 1 the wake
-         event runs the quantum directly, halving sleep overhead *)
-      if t.shards > 1 then
-        Engine.schedule ~label:(quantum_label t p) t.engine
-          ~delay:(cost +. duration) (fun () ->
-            if p.p_alive then begin
-              Machine.set_ready p.p_machine;
-              if not p.p_scheduled then run_quantum t p
-            end)
-      else
-        Engine.schedule ~label:(quantum_label t p) t.engine
-          ~delay:(cost +. duration) (fun () ->
-            if p.p_alive then begin
-              Machine.set_ready p.p_machine;
-              schedule_quantum t p ~delay:0.0
-            end)
+      Engine.schedule ~label:(quantum_label t p) t.engine
+        ~delay:(cost +. duration) (fun () ->
+          if p.p_alive then begin
+            Machine.set_ready p.p_machine;
+            schedule_quantum t p ~delay:0.0
+          end)
     | Machine.Blocked_read _ | Machine.Blocked_decode ->
       (* parked: woken by message/state arrival *)
       ()
@@ -608,14 +523,12 @@ let index_bucket t src =
 let add_route t ~src ~dst =
   let bucket = index_bucket t src in
   if not (List.exists (endpoint_equal dst) bucket) then begin
-    t.routes_version <- t.routes_version + 1;
     Hashtbl.replace t.route_index src (bucket @ [ dst ]);
     t.routes_rev <- (src, dst) :: t.routes_rev;
     record t "bind" "add %s.%s -> %s.%s" (fst src) (snd src) (fst dst) (snd dst)
   end
 
 let del_route t ~src ~dst =
-  t.routes_version <- t.routes_version + 1;
   (match List.filter (fun d -> not (endpoint_equal d dst)) (index_bucket t src) with
   | [] -> Hashtbl.remove t.route_index src
   | bucket -> Hashtbl.replace t.route_index src bucket);
@@ -851,196 +764,7 @@ let deliver_or_redirect t ~src ~dst ~peers value =
     | [] -> record t "drop" "in-flight message from %s.%s lost" (fst src) (snd src)
     | dsts -> List.iter (fun dst -> deliver t ~dst value) dsts)
 
-(* ---------------------------------------------------- sharded routing *)
-
-(* Resolve a destination entry: the gen-checked arena lookup when the
-   cached handle is fresh — an array index, no hashing — else fall back
-   to the by-name table and re-warm the handle. A handle cached before
-   a kill gen-fails here even if the slot was since reused, so a stale
-   memo can never alias a different instance. *)
-let resolve_dest t (de : dest_entry) =
-  let h = de.de_handle in
-  let hit =
-    if Domain.is_null h then None else Domain.get t.domains.(h.Domain.h_dom) h
-  in
-  match hit with
-  | Some _ as r -> r
-  | None -> (
-    match find_proc t (fst de.de_dst) with
-    | Some p ->
-      de.de_handle <- p.p_handle;
-      Some p
-    | None -> None)
-
-(* Rebuild the sender's out-route memo when the route table has moved
-   since it was cut (or the interface changed). [om_peers] is the
-   send-time fan-out set the redirect logic needs, identical to what
-   the classic path recomputes per send because any add/del bumps
-   [routes_version]. *)
-let cut_out_memo t p iface =
-  let src = (p.p_instance, iface) in
-  let dsts = routes_from t src in
-  let memo =
-    { om_iface = iface;
-      om_version = t.routes_version;
-      om_peers = dsts;
-      om_dests =
-        Array.of_list
-          (List.map
-             (fun dst ->
-               let handle =
-                 match find_proc t (fst dst) with
-                 | Some dp -> dp.p_handle
-                 | None -> Domain.null_handle
-               in
-               { de_dst = dst; de_handle = handle })
-             dsts) }
-  in
-  p.p_out_memo <- Some memo;
-  memo
-
-let out_memo_of t p iface =
-  match p.p_out_memo with
-  | Some m when m.om_version = t.routes_version && String.equal m.om_iface iface
-    ->
-    m
-  | _ -> cut_out_memo t p iface
-
-(* The sharded counterpart of the closure the classic path schedules per
-   message: deliver one batched message, preserving the classic trace
-   wording for every failure case. *)
-let deliver_batched t dom (bm : pending_msg) =
-  let dst = bm.bm_dst.de_dst in
-  if Hashtbl.length t.draining > 0 && Hashtbl.mem t.draining (fst dst) then
-    (* draining member: fall back to the classic path, which redirects
-       to an admitting sibling (only drain windows pay this) *)
-    deliver t ~dst bm.bm_value
-  else
-  match resolve_dest t bm.bm_dst with
-  | Some p ->
-    if host_is_down t p.p_host.host_name then
-      record t "fault" "delivery to %s.%s failed: host %s is down" (fst dst)
-        (snd dst) p.p_host.host_name
-    else begin
-      Domain.count_delivered dom;
-      if Option.is_some t.bus_metrics then
-        m_incr t ~labels:t.dom_labels.(Domain.id dom) "bus.delivered";
-      notify_delivery t ~dst ~kind:Fresh bm.bm_value;
-      Queue.add bm.bm_value (queue_of p (snd dst));
-      (* fused wake: the classic path schedules a delay-0 quantum event
-         for a reader blocked on this interface; here the quantum runs
-         inline at the same virtual time — one event-queue pop fewer
-         per delivery *)
-      match Machine.status p.p_machine with
-      | Machine.Blocked_read blocked_iface
-        when String.equal blocked_iface (snd dst) ->
-        Machine.set_ready p.p_machine;
-        if not p.p_scheduled then run_quantum t p
-      | _ -> ()
-    end
-  | None -> (
-    (* destination died in flight: same redirect rule as
-       [deliver_or_redirect] — only routes added since the send *)
-    let rebound =
-      List.filter
-        (fun d -> not (List.exists (endpoint_equal d) bm.bm_peers))
-        (routes_from t bm.bm_src)
-    in
-    match rebound with
-    | [] ->
-      record t "drop" "in-flight message from %s.%s lost" (fst bm.bm_src)
-        (snd bm.bm_src)
-    | dsts -> List.iter (fun dst -> deliver t ~dst bm.bm_value) dsts)
-
-(* One event-queue pop delivers every message bound for this domain at
-   this instant, in insertion order (per-route FIFO). *)
-let drain_domain t dom_idx ~due =
-  let batch = Domain.Batch.drain t.inbound.(dom_idx) ~due in
-  let dom = t.domains.(dom_idx) in
-  let size = List.length batch in
-  Domain.count_batch dom ~size;
-  (match t.bus_metrics with
-  | Some r ->
-    Metrics.incr r ~labels:t.dom_labels.(dom_idx) "bus.batches";
-    Metrics.observe r "bus.batch_size" (float_of_int size)
-  | None -> ());
-  List.iter (deliver_batched t dom) batch
-
-(* The sharded send path: memoized fan-out, handles instead of string
-   keys, and per-hop batching — a message joins the batch for its
-   destination domain at its exact delivery instant, and only the first
-   message of a batch schedules an engine event. Fault-hook draw order
-   (jitter, then decision, per destination) matches the classic path
-   exactly so seeded fault plans replay identically. *)
-let route_sharded t p iface value =
-  (match t.activity_hook with
-  | Some hook -> hook p.p_instance
-  | None -> ());
-  let memo = out_memo_of t p iface in
-  if Array.length memo.om_dests = 0 then begin
-    if Option.is_some t.bus_metrics then
-      m_incr t ~labels:[ ("instance", p.p_instance) ] "bus.dropped";
-    record t "drop" "%s.%s has no binding; message discarded" p.p_instance iface
-  end
-  else begin
-    let src = (p.p_instance, iface) in
-    let metrics_on = Option.is_some t.bus_metrics in
-    let src_dom = p.p_handle.Domain.h_dom in
-    Array.iter
-      (fun de ->
-        Domain.count_routed t.domains.(src_dom);
-        if metrics_on then
-          m_incr t ~labels:t.dom_labels.(src_dom) "bus.messages_routed";
-        let handled =
-          match t.transport with
-          | Some tr -> tr.tr_send ~src ~dst:de.de_dst value
-          | None -> false
-        in
-        if not handled then begin
-          let dst_p = resolve_dest t de in
-          let dst_host =
-            match dst_p with Some dp -> dp.p_host | None -> p.p_host
-          in
-          let dst_dom =
-            match dst_p with
-            | Some dp -> dp.p_handle.Domain.h_dom
-            | None -> src_dom
-          in
-          let delay = latency t p.p_host dst_host in
-          let push ~delay =
-            let due = now t +. delay in
-            let opened =
-              Domain.Batch.add t.inbound.(dst_dom) ~due
-                { bm_src = src;
-                  bm_dst = de;
-                  bm_peers = memo.om_peers;
-                  bm_value = value }
-            in
-            if opened then
-              Engine.schedule_at t.engine ~time:due (fun () ->
-                  drain_domain t dst_dom ~due)
-          in
-          match t.fault_hooks with
-          | None -> push ~delay
-          | Some hooks -> (
-            let delay = delay +. hooks.fh_jitter () in
-            match hooks.fh_message ~src ~dst:de.de_dst with
-            | Deliver -> push ~delay
-            | Drop ->
-              record t "fault" "injected loss: %s.%s -> %s.%s" (fst src)
-                (snd src) (fst de.de_dst) (snd de.de_dst)
-            | Duplicate ->
-              record t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src)
-                (snd src) (fst de.de_dst) (snd de.de_dst);
-              push ~delay;
-              push ~delay)
-        end)
-      memo.om_dests
-  end
-
 let route_message t p iface value =
-  if t.shards > 1 then route_sharded t p iface value
-  else begin
   let src = (p.p_instance, iface) in
   (match t.activity_hook with
   | Some hook -> hook p.p_instance
@@ -1091,7 +815,6 @@ let route_message t p iface value =
               send ~delay)
         end)
       dsts
-  end
 
 (* A raw timed hop between two endpoints, subject to the fault hooks but
    carrying a callback rather than a queued value — the primitive the
@@ -1217,15 +940,11 @@ let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
             p_alive = true;
             p_scheduled = false;
             p_started = now t;
-            p_ended = None;
-            p_handle = Domain.null_handle;
-            p_out_memo = None }
+            p_ended = None }
         in
         p_ref := Some p;
         t.procs_rev <- p :: t.procs_rev;
         Hashtbl.replace t.live instance p;
-        p.p_handle <- Domain.alloc t.domains.(t.spawn_rr mod t.shards) p;
-        t.spawn_rr <- t.spawn_rr + 1;
         m_incr t ~labels:[ ("instance", instance) ] "bus.spawns";
         record t "lifecycle" "%s (%s) started on %s as %s" instance module_name
           h.host_name status;
@@ -1264,15 +983,11 @@ let spawn_snapshot t ~of_instance ~instance ~host =
             p_alive = true;
             p_scheduled = false;
             p_started = now t;
-            p_ended = None;
-            p_handle = Domain.null_handle;
-            p_out_memo = None }
+            p_ended = None }
         in
         p_ref := Some p;
         t.procs_rev <- p :: t.procs_rev;
         Hashtbl.replace t.live instance p;
-        p.p_handle <- Domain.alloc t.domains.(t.spawn_rr mod t.shards) p;
-        t.spawn_rr <- t.spawn_rr + 1;
         record t "lifecycle" "%s snapshot-cloned as %s on %s" of_instance
           instance h.host_name;
         (* re-arm scheduling for whatever state the snapshot was in *)
@@ -1297,14 +1012,6 @@ let kill t ~instance =
     p.p_alive <- false;
     p.p_ended <- Some (now t);
     Hashtbl.remove t.live instance;
-    (* retire the arena slot: the generation bump invalidates every
-       handle cached for this instance, so out-route memos can never
-       alias whatever reuses the slot *)
-    if not (Domain.is_null p.p_handle) then begin
-      Domain.free t.domains.(p.p_handle.Domain.h_dom) p.p_handle;
-      p.p_handle <- Domain.null_handle
-    end;
-    t.routes_version <- t.routes_version + 1;
     m_incr t ~labels:[ ("instance", instance) ] "bus.kills";
     record t "lifecycle" "%s removed" instance;
     (* a divulge callback armed on a dead instance can never fire; keep
@@ -1483,30 +1190,3 @@ let run_while t ?(max_events = max_int) predicate =
   done
 
 let quiescent t = Engine.pending t.engine = 0
-
-(* ------------------------------------------------------------- domains *)
-
-type domain_stats = {
-  d_id : int;
-  d_live : int;
-  d_routed : int;
-  d_delivered : int;
-  d_batches : int;
-  d_batched : int;
-}
-
-let domain_of_instance t ~instance =
-  Option.bind (find_proc t instance) (fun p ->
-      if Domain.is_null p.p_handle then None else Some p.p_handle.Domain.h_dom)
-
-let domain_stats t =
-  Array.to_list
-    (Array.map
-       (fun d ->
-         { d_id = Domain.id d;
-           d_live = Domain.live_count d;
-           d_routed = Domain.routed d;
-           d_delivered = Domain.delivered d;
-           d_batches = Domain.batches d;
-           d_batched = Domain.batched d })
-       t.domains)

@@ -27,16 +27,11 @@ val default_params : params
 
 type t
 
-val create : ?params:params -> ?shards:int -> hosts:host list -> unit -> t
-(** [shards] partitions the fleet into that many broker domains
-    (default 1). With one shard the bus runs the classic per-message
-    delivery path, byte-identical to every pinned golden trace; with
-    more, instances are assigned to domains round-robin at spawn, the
-    hot path resolves destinations through flat-array arenas instead of
-    hashtables, and deliveries bound for the same domain at the same
-    virtual instant share one event-queue pop ({!Domain.Batch}).
-    Delivery contents and per-route order are unchanged at any shard
-    count. *)
+val create : ?params:params -> hosts:host list -> unit -> t
+(** Every message takes one delivery path: each send schedules one
+    delivery event per destination, and a message whose destination
+    was replaced in flight follows the new bindings (the paper's atomic
+    rebinding). *)
 
 val engine : t -> Dr_sim.Engine.t
 val trace : t -> Dr_sim.Trace.t
@@ -302,7 +297,7 @@ type delivery_kind =
 val set_delivery_observer :
   t -> (dst:endpoint -> kind:delivery_kind -> Dr_state.Value.t -> unit) option -> unit
 (** Subscribe to successful input-queue enqueues, on every delivery path
-    (classic, sharded, and the reliable layer's [deliver_now]). Strictly
+    (the bus's own and the reliable layer's [deliver_now]). Strictly
     passive: never schedules, never traces. The model checker's
     exactly-once monitor counts [Fresh] deliveries per message. *)
 
@@ -468,23 +463,3 @@ val run_while : t -> ?max_events:int -> (unit -> bool) -> unit
 
 val quiescent : t -> bool
 (** No events pending (all processes parked or finished). *)
-
-(** {1 Broker domains} *)
-
-val shard_count : t -> int
-
-val domain_of_instance : t -> instance:string -> int option
-(** The broker domain a live instance is assigned to. *)
-
-type domain_stats = {
-  d_id : int;
-  d_live : int;       (** instances currently in the domain's arena *)
-  d_routed : int;     (** messages sent by this domain's instances *)
-  d_delivered : int;  (** messages delivered into this domain *)
-  d_batches : int;    (** inter-domain batches drained *)
-  d_batched : int;    (** messages carried by those batches *)
-}
-
-val domain_stats : t -> domain_stats list
-(** Per-domain traffic attribution, in domain-id order. All zeros at
-    shard count 1 (the classic path does not touch the counters). *)

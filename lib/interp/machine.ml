@@ -104,9 +104,6 @@ type t = {
      machine executes: cleared before it runs. Used by the controller
      for live pre-copy capture at point granularity. *)
   mutable point_hook : (unit -> unit) option;
-  (* Superinstruction dispatch (rp_fused): opt-in per machine, and
-     automatically bypassed whenever a tracer is attached. *)
-  mutable fusion : bool;
 }
 
 let max_stack_depth = 4096
@@ -650,15 +647,20 @@ let run_pending_signal t =
       t.depth <- t.depth + 1
   end
 
-let step t =
-  match t.mstatus with
-  | Halted | Crashed _ | Sleeping _ | Blocked_read _ | Blocked_decode -> ()
-  | Ready -> (
+(* Budgeted execution: run at most [budget] instructions while Ready,
+   returning the number actually executed. This is the bus's quantum
+   loop and the only dispatch loop: [step] and [run] are budgets of one
+   and of [max_steps]. *)
+let exec_budget t budget =
+  let start = t.instrs_executed in
+  (* absolute threshold, so the loop test is a plain int compare on the
+     counter — no per-iteration arithmetic *)
+  let stop = if budget >= max_int - start then max_int else start + budget in
+  while t.mstatus = Ready && t.instrs_executed < stop do
     run_pending_signal t;
     match t.stack with
     | [] -> t.mstatus <- Halted
-    | frame -> (
-      let frame = List.hd frame in
+    | frame :: _ ->
       if frame.pc < 0 || frame.pc >= Array.length frame.rproc.rp_instrs then
         t.mstatus <-
           Crashed
@@ -672,107 +674,15 @@ let step t =
         | None -> ());
         try exec_instr t frame frame.rproc.rp_instrs.(frame.pc) with
         | Runtime_error message -> t.mstatus <- Crashed message
-      end))
-
-(* Superinstruction dispatch: execute a fused straight-line run in one
-   dispatch. Instruction counting is per sub-instruction (incremented
-   before each exec, exactly like [step]), so counts, costs and crash
-   attribution are identical to unfused execution. A false-taken
-   Fcjump_run executes one instruction, not the whole run.
-
-   Run members are pre-destructured assigns/skips, executed here with a
-   three-way match instead of the full [exec_instr] dispatch. pc is
-   written before each member (not advanced after, as [exec_instr]
-   would), which keeps crash attribution exact: a member that raises
-   leaves pc at its own index, just like unfused execution. The tail
-   transfer, if any, runs through [exec_instr] with pc already at its
-   index, so its pc arithmetic (call resumption, branch targets) is
-   untouched. *)
-let exec_run t frame ~base (body : R.fmember array) (tail : R.rinstr option) =
-  for k = 0 to Array.length body - 1 do
-    frame.pc <- base + k;
-    t.instrs_executed <- t.instrs_executed + 1;
-    match Array.unsafe_get body k with
-    | R.Mskip -> ()
-    | R.Massign (slot, e) -> set_cell t (cell_of_slot t frame slot) (eval t frame e)
-    | R.Massign_index (slot, idx, e) ->
-      let b = (cell_of_slot t frame slot).cv in
-      let i = as_int (eval t frame idx) in
-      heap_store t b i (eval t frame e)
-  done;
-  frame.pc <- base + Array.length body;
-  match tail with
-  | Some (R.Rjump target) ->
-    (* the overwhelmingly common loop-closing tail, inlined *)
-    t.instrs_executed <- t.instrs_executed + 1;
-    frame.pc <- target
-  | Some i ->
-    t.instrs_executed <- t.instrs_executed + 1;
-    exec_instr t frame i
-  | None -> ()
-
-let exec_fused t frame (f : R.fused) =
-  match f with
-  | R.Frun { body; tail } -> exec_run t frame ~base:frame.pc body tail
-  | R.Fcjump_run { cond; if_false; body; tail } ->
-    t.instrs_executed <- t.instrs_executed + 1;
-    if as_bool (eval t frame cond) then
-      exec_run t frame ~base:(frame.pc + 1) body tail
-    else frame.pc <- if_false
-
-(* Budgeted execution: run at most [budget] instructions while Ready,
-   returning the number actually executed. This is the bus's quantum
-   loop, hoisted into the machine so the hot path pays one status check
-   per instruction instead of a full [step] call, and so fused pairs can
-   dispatch once. Fusion engages only when enabled, no tracer is
-   attached, and at least two instructions of budget remain (a fused
-   pair must never overrun the quantum). *)
-let exec_budget t budget =
-  let start = t.instrs_executed in
-  (* absolute threshold, so the loop and the fusion headroom test are
-     plain int compares on the counter — no per-iteration arithmetic *)
-  let stop = if budget >= max_int - start then max_int else start + budget in
-  while t.mstatus = Ready && t.instrs_executed < stop do
-    run_pending_signal t;
-    match t.stack with
-    | [] -> t.mstatus <- Halted
-    | frame :: _ ->
-      if frame.pc < 0 || frame.pc >= Array.length frame.rproc.rp_instrs then
-        t.mstatus <-
-          Crashed
-            (Printf.sprintf "pc out of range in %s" frame.rproc.rp_source.pc_name)
-      else begin
-        match t.tracer with
-        | Some hook ->
-          t.instrs_executed <- t.instrs_executed + 1;
-          hook frame.rproc.rp_source.pc_name frame.pc
-            frame.rproc.rp_source.pc_instrs.(frame.pc);
-          (try exec_instr t frame frame.rproc.rp_instrs.(frame.pc) with
-          | Runtime_error message -> t.mstatus <- Crashed message)
-        | None -> (
-          let fused =
-            if t.fusion && frame.pc < Array.length frame.rproc.rp_fused then
-              Array.unsafe_get frame.rproc.rp_fused frame.pc
-            else None
-          in
-          match fused with
-          | Some f when t.instrs_executed + R.fused_length f <= stop -> (
-            try exec_fused t frame f with
-            | Runtime_error message -> t.mstatus <- Crashed message)
-          | Some _ | None ->
-            t.instrs_executed <- t.instrs_executed + 1;
-            (try exec_instr t frame frame.rproc.rp_instrs.(frame.pc) with
-            | Runtime_error message -> t.mstatus <- Crashed message))
       end
   done;
   t.instrs_executed - start
 
+let step t = ignore (exec_budget t 1)
+
 let run ?(max_steps = max_int) t = ignore (exec_budget t max_steps)
 
 (* ------------------------------------------------- live pre-copy API *)
-
-let set_fusion t on = t.fusion <- on
-let fusion_enabled t = t.fusion
 
 let set_point_hook t hook = t.point_hook <- hook
 
@@ -949,8 +859,7 @@ let clone t ~io =
     capture_masks = t.capture_masks;
     delta_masks = t.delta_masks;
     dirty_heap = Hashtbl.copy t.dirty_heap;
-    point_hook = None;  (* hooks are controller-side, never cloned *)
-    fusion = t.fusion }
+    point_hook = None  (* hooks are controller-side, never cloned *) }
 
 let replace_proc_code t (code : Ir.proc_code) =
   if not t.procs_local then begin
@@ -988,7 +897,7 @@ let create ?(status_attr = "normal") ~io ?resolved (prog : Ast.program) =
       frames_rebuilt = 0;
       cur_gen = 1; base_gen = 0; base_depth = 0; min_depth = 0;
       stack_aligned = false; capture_masks = []; delta_masks = None;
-      dirty_heap = Hashtbl.create 8; point_hook = None; fusion = false }
+      dirty_heap = Hashtbl.create 8; point_hook = None }
   in
   let scratch_frame =
     { rproc = R.scratch_proc; slots = [||]; pc = 0; ret_slot = None }

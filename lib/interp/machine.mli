@@ -49,17 +49,8 @@ val run : ?max_steps:int -> t -> unit
 
 val exec_budget : t -> int -> int
 (** [exec_budget t n] executes at most [n] instructions while [Ready]
-    and returns the number actually executed — the bus's quantum loop,
-    hoisted into the machine so the hot path avoids a per-instruction
-    [step] call and can dispatch fused pairs (see {!set_fusion}). *)
-
-val set_fusion : t -> bool -> unit
-(** Enable superinstruction dispatch ({!Resolve.fused}): adjacent
-    compatible instructions execute in one dispatch. Off by default.
-    Instruction counts, crash semantics and observable behaviour are
-    unchanged; a machine with a tracer attached always runs unfused. *)
-
-val fusion_enabled : t -> bool
+    and returns the number actually executed — the bus's quantum loop.
+    {!step} is [exec_budget t 1]. *)
 
 val set_ready : t -> unit
 (** Wake a [Sleeping]/[Blocked_*] machine (the scheduler decides when). *)

@@ -77,54 +77,12 @@ type rinstr =
          one-shot observation hook here (live pre-copy capture) that
          fires when control reaches the point *)
 
-(* Superinstructions: maximal straight-line runs pre-joined at resolve
-   time so the dispatch loop pays one bounds-check + match for a whole
-   run — up to [max_fused_run] instructions, typically an entire loop
-   body (compare+branch, the load/store assigns, and the back jump or
-   call). Run members are pre-destructured assigns/skips ([fmember]),
-   which always fall through, so the machine executes them with a
-   three-way match and a deferred pc update instead of the full
-   instruction dispatch; a single control transfer (jump, conditional
-   jump, call) may close the run as its [tail]. Blocking, returning,
-   builtin and gated instructions never join one. The fused table is
-   advisory and index-aligned with [rp_instrs]: jump targets landing
-   mid-run execute from their own (shorter) entry, and tracers ignore
-   the table entirely, so observable behaviour (counts, traces, crash
-   points) is bit-identical. *)
-type fmember =
-  | Mskip
-  | Massign of slot * rexpr  (* Rassign (Rlvar _, _) destructured *)
-  | Massign_index of slot * rexpr * rexpr  (* slot.[idx] <- e *)
-
-type fused =
-  | Frun of { body : fmember array; tail : rinstr option }
-      (* 1..max_fused_run-1 members, optionally closed by a transfer *)
-  | Fcjump_run of {
-      cond : rexpr;
-      if_false : int;
-      body : fmember array;
-      tail : rinstr option;
-    }
-      (* compare+branch heading a run: false -> branch (1 instr), true
-         -> fall through the members into the optional tail *)
-
-let max_fused_run = 8
-
-let tail_length = function
-  | Some _ -> 1
-  | None -> 0
-
-let fused_length = function
-  | Frun { body; tail } -> Array.length body + tail_length tail
-  | Fcjump_run { body; tail; _ } -> 1 + Array.length body + tail_length tail
-
 type rproc = {
   rp_source : Ir.proc_code;  (* index-aligned with rp_instrs *)
   rp_params : (int * Ast.param) array;  (* slot index per formal *)
   rp_defaults : Value.t array;  (* initial value per slot (immutable) *)
   rp_slot_index : (string, int) Hashtbl.t;  (* introspection only *)
   rp_instrs : rinstr array;
-  rp_fused : fused option array;  (* index-aligned with rp_instrs *)
 }
 
 type program = {
@@ -221,52 +179,6 @@ let resolve_instr env (instr : Ir.instr) : rinstr =
 let is_point_label label =
   String.length label >= 2 && label.[0] = '_' && label.[1] = 'P'
 
-let fuse_pairs (instrs : rinstr array) : fused option array =
-  let n = Array.length instrs in
-  (* middle members must fall through unconditionally; they are
-     destructured here so the dispatch loop never re-matches them *)
-  let member = function
-    | Rskip -> Some Mskip
-    | Rassign (Rlvar slot, e) -> Some (Massign (slot, e))
-    | Rassign (Rlindex (slot, idx), e) -> Some (Massign_index (slot, idx, e))
-    | _ -> None
-  in
-  (* a control transfer may only close a run: after it, the current
-     frame (or pc) is no longer the one the run was fused against *)
-  let is_tail = function
-    | Rjump _ | Rcjump _ | Rcall _ -> true
-    | _ -> false
-  in
-  (* collect up to [limit] instructions of straight line starting at
-     [pc]: simple members, one optional closing control transfer
-     (counted against the same limit) *)
-  let run_from pc limit =
-    let rec go acc pc len =
-      if len >= limit || pc >= n then (List.rev acc, None)
-      else
-        match member instrs.(pc) with
-        | Some m -> go (m :: acc) (pc + 1) (len + 1)
-        | None ->
-          if is_tail instrs.(pc) then (List.rev acc, Some instrs.(pc))
-          else (List.rev acc, None)
-    in
-    go [] pc 0
-  in
-  Array.init n (fun pc ->
-      match member instrs.(pc) with
-      | Some lead -> (
-        match run_from (pc + 1) (max_fused_run - 1) with
-        | [], None -> None  (* nothing joined: stay unfused *)
-        | body, tail -> Some (Frun { body = Array.of_list (lead :: body); tail }))
-      | None -> (
-        match instrs.(pc) with
-        | Rcjump { cond; if_false } -> (
-          match run_from (pc + 1) (max_fused_run - 1) with
-          | [], None -> None
-          | body, tail ->
-            Some (Fcjump_run { cond; if_false; body = Array.of_list body; tail }))
-        | _ -> None))
-
 let resolve_proc ~global_index ~proc_index (code : Ir.proc_code) : rproc =
   let frame_index = Hashtbl.create 16 in
   let defaults_rev = ref [] in
@@ -302,8 +214,7 @@ let resolve_proc ~global_index ~proc_index (code : Ir.proc_code) : rproc =
     rp_params = Array.of_list params;
     rp_defaults = Array.of_list (List.rev !defaults_rev);
     rp_slot_index = frame_index;
-    rp_instrs;
-    rp_fused = fuse_pairs rp_instrs }
+    rp_instrs }
 
 let no_frame : (string, int) Hashtbl.t = Hashtbl.create 1
 let no_procs : (string, int) Hashtbl.t = Hashtbl.create 1
@@ -360,5 +271,4 @@ let scratch_proc : rproc =
     rp_params = [||];
     rp_defaults = [||];
     rp_slot_index = Hashtbl.create 1;
-    rp_instrs = [||];
-    rp_fused = [||] }
+    rp_instrs = [||] }

@@ -63,49 +63,12 @@ type rinstr =
           (live pre-copy capture) that fires when control reaches the
           point *)
 
-(** Superinstructions: maximal straight-line runs (up to
-    {!max_fused_run} instructions) pre-joined at resolve time so the
-    dispatch loop pays one match for the whole run. Advisory and
-    index-aligned with [rp_instrs]: jump targets landing mid-run execute
-    the member unfused, and observable behaviour (instruction counts,
-    traces, crash points) is unchanged. *)
-type fmember =
-  | Mskip
-  | Massign of slot * rexpr
-      (** [Rassign (Rlvar _, _)] destructured at fuse time *)
-  | Massign_index of slot * rexpr * rexpr  (** [slot.[idx] <- e] *)
-(** Run members: fall-through instructions pre-destructured so the
-    machine executes them with a three-way match and a deferred pc
-    update, bypassing the full instruction dispatch. *)
-
-type fused =
-  | Frun of { body : fmember array; tail : rinstr option }
-      (** a straight-line run of members, optionally closed by a
-          control transfer: exec all, one dispatch *)
-  | Fcjump_run of {
-      cond : rexpr;
-      if_false : int;
-      body : fmember array;
-      tail : rinstr option;
-    }
-      (** compare+branch heading a run: false → branch (1 instr), true →
-          fall through the members into the optional tail — a tight loop
-          body becomes a single dispatch per iteration *)
-
-val max_fused_run : int
-(** Upper bound on the number of instructions joined into one run. *)
-
-val fused_length : fused -> int
-(** Maximum instructions a fused run can execute (the true-path count
-    for [Fcjump_run]); used for budget headroom checks. *)
-
 type rproc = {
   rp_source : Ir.proc_code;  (** index-aligned with [rp_instrs] *)
   rp_params : (int * Dr_lang.Ast.param) array;
   rp_defaults : Dr_state.Value.t array;
   rp_slot_index : (string, int) Hashtbl.t;
   rp_instrs : rinstr array;
-  rp_fused : fused option array;  (** index-aligned with [rp_instrs] *)
 }
 
 type program = {

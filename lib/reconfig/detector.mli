@@ -59,8 +59,8 @@ val watched : t -> string list
 
 (** {1 Overhead accounting}
 
-    Suspicion bookkeeping is incremental: checks run off per-domain due
-    wheels, so a tick touches only the instances whose silence horizon
+    Suspicion bookkeeping is incremental: checks run off a due wheel,
+    so a tick touches only the instances whose silence horizon
     passed, not the whole fleet. These counters expose the cost for the
     flatness regression tests. *)
 

@@ -279,10 +279,10 @@ application rgroup {
     | Ok system -> system
     | Error e -> failwith ("kvstore replica group: load failed: " ^ e)
 
-  let start ?params ?shards ~n system =
+  let start ?params ~n system =
     match
       Dynrecon.System.start system ~app:"rgroup" ~hosts:(hosts ~n) ?params
-        ?shards ~default_host:(host 1) ()
+        ~default_host:(host 1) ()
     with
     | Ok bus -> bus
     | Error e -> failwith ("kvstore replica group: start failed: " ^ e)

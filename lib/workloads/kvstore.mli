@@ -60,7 +60,6 @@ module Replica : sig
 
   val start :
     ?params:Dr_bus.Bus.params ->
-    ?shards:int ->
     n:int ->
     Dynrecon.System.t ->
     Dr_bus.Bus.t

@@ -30,13 +30,10 @@ let monitor_trace ?(metrics = false) () =
   Bus.run ~until:40.0 bus;
   dump bus
 
-(* The evolving token ring: run, splice a member in, keep running.
-   [~shards] picks the broker-domain count — the default (1) is the
-   classic single-domain bus and must stay byte-identical to the seed
-   golden; shard count 4 is pinned by its own golden below. *)
-let ring_trace ?(metrics = false) ?shards () =
+(* The evolving token ring: run, splice a member in, keep running. *)
+let ring_trace ?(metrics = false) () =
   let system = Dr_workloads.Ring.load () in
-  let bus = Dr_workloads.Ring.start ?shards system in
+  let bus = Dr_workloads.Ring.start system in
   observe metrics bus;
   Bus.run ~until:30.0 bus;
   (match
@@ -48,24 +45,17 @@ let ring_trace ?(metrics = false) ?shards () =
   Bus.run ~until:60.0 bus;
   dump bus
 
-(* The same ring scenario on a 4-domain sharded bus. Batched delivery
-   may legitimately change the event *count*, but the trace — what was
-   delivered, where, in what order, at what virtual time — is pinned by
-   its own golden so sharded behaviour can't drift silently. *)
-let ring_sharded_trace ?(metrics = false) () =
-  ring_trace ~metrics ~shards:4 ()
-
 (* A seeded chaos run: 5% message loss plus a host crash in the middle
    of a transactional replacement's signal->divulge window. Pins the
    fault plane's PRNG consumption order and the journal's rollback
    records byte-for-byte. *)
-let chaos_trace ?(metrics = false) ?shards () =
+let chaos_trace ?(metrics = false) () =
   let system = Dr_workloads.Ring.load () in
   let plan =
     Dr_workloads.Ring.chaos_plan ~loss:0.05 ~host_crash:("hostB", 8.5)
       ~host_recover:20.0 ()
   in
-  let bus = Dr_workloads.Ring.start_chaos ~seed:7 ~plan ?shards system in
+  let bus = Dr_workloads.Ring.start_chaos ~seed:7 ~plan system in
   observe metrics bus;
   Bus.run ~until:8.0 bus;
   (match

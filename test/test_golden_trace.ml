@@ -42,24 +42,6 @@ let test_ring_metrics () =
 let test_chaos_metrics () =
   check_golden "golden_chaos.trace" (Golden.chaos_trace ~metrics:true ())
 
-(* Shard count 1 is the classic code path: replaying with an explicit
-   [~shards:1] must still match the seed goldens byte-for-byte — the
-   sharded bus exists only behind [shards > 1]. *)
-let test_ring_shards1 () =
-  check_golden "golden_ring.trace" (Golden.ring_trace ~shards:1 ())
-
-let test_chaos_shards1 () =
-  check_golden "golden_chaos.trace" (Golden.chaos_trace ~shards:1 ())
-
-(* The 4-domain run is pinned by its own golden, recorded from the same
-   gen_goldens run — and must also be metrics-invisible. *)
-let test_ring_sharded () =
-  check_golden "golden_ring_sharded.trace" (Golden.ring_sharded_trace ())
-
-let test_ring_sharded_metrics () =
-  check_golden "golden_ring_sharded.trace"
-    (Golden.ring_sharded_trace ~metrics:true ())
-
 let () =
   Alcotest.run "golden_trace"
     [ ( "byte-identical to seed",
@@ -70,12 +52,4 @@ let () =
         [ Alcotest.test_case "monitor migration" `Quick test_monitor_metrics;
           Alcotest.test_case "ring insertion" `Quick test_ring_metrics;
           Alcotest.test_case "seeded chaos replace" `Quick test_chaos_metrics ]
-      );
-      ( "sharded bus",
-        [ Alcotest.test_case "ring at explicit shards=1" `Quick
-            test_ring_shards1;
-          Alcotest.test_case "chaos at explicit shards=1" `Quick
-            test_chaos_shards1;
-          Alcotest.test_case "ring at shards=4" `Quick test_ring_sharded;
-          Alcotest.test_case "ring at shards=4, metrics on" `Quick
-            test_ring_sharded_metrics ] ) ]
+      ) ]

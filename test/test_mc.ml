@@ -30,6 +30,17 @@ let check_exhaustive ~name (r : Explorer.result) =
     Alcotest.failf "%s: exploration not exhaustive (capped=%b depth_cuts=%d)"
       name s.Explorer.capped s.Explorer.depth_cuts
 
+(* Exact DPOR exploration counts. The bus's delivery path decides which
+   engine events exist and how they are labelled, so a change to it
+   (batching same-instant deliveries, running wakes inline) moves these
+   numbers even when every trace and monitor verdict stays the same. *)
+let check_counts ~name ~executions ~transitions ~states (r : Explorer.result) =
+  let s = r.Explorer.res_stats in
+  Alcotest.(check (list int))
+    (name ^ ": executions / transitions / states")
+    [ executions; transitions; states ]
+    [ s.Explorer.executions; s.Explorer.transitions; s.Explorer.states ]
+
 (* The schedule the checker minimized for the controller-crash /
    deadline-rollback / late-divulge race, committed the day it was
    found. [fire 8] is the replace deadline firing before the target's
@@ -88,10 +99,8 @@ let test_single_replace_exhaustive () =
   let r = Explorer.explore ~mode:Explorer.Dpor (config "single-replace") in
   check_clean ~name:"single-replace" r;
   check_exhaustive ~name:"single-replace" r;
-  let s = r.Explorer.res_stats in
-  if s.Explorer.states < 50 then
-    Alcotest.failf "suspiciously small state space: %d states"
-      s.Explorer.states
+  check_counts ~name:"single-replace" ~executions:132 ~transitions:1457
+    ~states:175 r
 
 (* The configuration that caught the divulge-fencing bug, explored in
    full: a crash budget of one (kill or controller crash) and the
@@ -100,7 +109,9 @@ let test_crash_config_clean () =
   let r =
     Explorer.explore ~mode:Explorer.Dpor (config "single-replace-crash")
   in
-  check_clean ~name:"single-replace-crash" r
+  check_clean ~name:"single-replace-crash" r;
+  check_counts ~name:"single-replace-crash" ~executions:717 ~transitions:7974
+    ~states:759 r
 
 (* One fault decision (drop or duplicate) anywhere in the run: the
    reliable layer must still deliver exactly once, epochs must not
