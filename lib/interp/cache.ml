@@ -1,11 +1,17 @@
-(* Content-keyed program cache: parse/typecheck/transform happen
-   upstream, but lowering + resolution used to run once per
-   [Bus.register_program] — and every retry, supervisor restart or
-   repeated deployment of the same module text paid it again. The cache
-   keys on a digest of the pretty-printed program (stable across
-   re-parses of the same source and across structurally identical ASTs)
-   and stores the lowered table together with the resolved artifact, so
-   N instances of one module share a single compilation. *)
+(* Program cache: parse/typecheck/transform happen upstream, but
+   lowering + resolution used to run once per [Bus.register_program] —
+   and every retry, supervisor restart or repeated deployment of the same
+   module text paid it again. The cache keys on the AST itself and
+   stores the lowered table together with the resolved artifact, so N
+   instances of one module share a single compilation.
+
+   Equality decides every hit: physical equality first (a caller that
+   re-registers the very same program, like the model checker booting
+   one loaded configuration per execution, pays no traversal), then
+   structural equality, which also matches separate parses of one
+   source. The hash is bounded, so two programs that differ only deep
+   inside may share a bucket; that costs a comparison, never a wrong
+   artifact. *)
 
 type artifact = {
   a_program : Dr_lang.Ast.program;
@@ -13,7 +19,14 @@ type artifact = {
   a_resolved : Resolve.program;
 }
 
-let table : (string, artifact) Hashtbl.t = Hashtbl.create 64
+module Programs = Hashtbl.Make (struct
+  type t = Dr_lang.Ast.program
+
+  let equal (a : t) b = a == b || a = b
+  let hash (p : t) = Hashtbl.hash_param 64 256 p
+end)
+
+let table : artifact Programs.t = Programs.create 64
 
 let hit_count = ref 0
 let miss_count = ref 0
@@ -24,12 +37,8 @@ let miss_count = ref 0
    depends on a hit. *)
 let max_entries = 512
 
-let key (program : Dr_lang.Ast.program) =
-  Digest.string (Dr_lang.Pretty.program_to_string program)
-
 let prepare (program : Dr_lang.Ast.program) : artifact =
-  let k = key program in
-  match Hashtbl.find_opt table k with
+  match Programs.find_opt table program with
   | Some artifact ->
     incr hit_count;
     artifact
@@ -38,15 +47,15 @@ let prepare (program : Dr_lang.Ast.program) : artifact =
     let code = Lower.lower_program program in
     let resolved = Resolve.resolve_program program code in
     let artifact = { a_program = program; a_code = code; a_resolved = resolved } in
-    if Hashtbl.length table >= max_entries then Hashtbl.reset table;
-    Hashtbl.replace table k artifact;
+    if Programs.length table >= max_entries then Programs.reset table;
+    Programs.replace table program artifact;
     artifact
 
 let hits () = !hit_count
 let misses () = !miss_count
-let entries () = Hashtbl.length table
+let entries () = Programs.length table
 
 let reset () =
-  Hashtbl.reset table;
+  Programs.reset table;
   hit_count := 0;
   miss_count := 0

@@ -1,11 +1,12 @@
-(** Content-keyed cache of compiled MiniProc programs.
+(** Program-keyed cache of compiled MiniProc programs.
 
-    Keyed on a digest of the pretty-printed program, so re-registering
+    Keyed on the AST itself (physical, then structural equality under a
+    bounded hash), so re-registering the same program or a re-parse of
     the same module text — clone spawn, [Script.replace] retries,
     supervisor restarts, the N=1000 scaling workload — reuses one
     lowered + resolved artifact instead of compiling per instance.
     Purely a memoisation: a miss compiles exactly what an uncached call
-    would. *)
+    would, and only an equal program can hit. *)
 
 type artifact = {
   a_program : Dr_lang.Ast.program;  (** the program the artifact was built from *)

@@ -201,10 +201,8 @@ let no_lost_state ~bus () =
   { m_name = name;
     m_step =
       (fun () ->
-        let entries = Trace.entries trace in
-        let n = List.length entries in
-        let fresh = List.filteri (fun i _ -> i >= !cursor) entries in
-        cursor := n;
+        let fresh = Trace.entries_from trace !cursor in
+        cursor := Trace.length trace;
         List.fold_left
           (fun acc (e : Trace.entry) ->
             scan_entry e;
@@ -250,10 +248,8 @@ let no_double_serve ~bus () =
   { m_name = name;
     m_step =
       (fun () ->
-        let entries = Trace.entries trace in
-        let n = List.length entries in
-        let fresh = List.filteri (fun i _ -> i >= !cursor) entries in
-        cursor := n;
+        let fresh = Trace.entries_from trace !cursor in
+        cursor := Trace.length trace;
         List.iter
           (fun (e : Trace.entry) ->
             if String.equal e.Trace.category "supervisor" then

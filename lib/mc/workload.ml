@@ -177,10 +177,14 @@ let load ~two_cells ~k =
 
 (* Assemble the bus by hand rather than through [System.start]:
    [Engine.mc_enable] must run before the first spawn parks a quantum
-   in the event heap, and [System.start] creates the bus internally. *)
-let boot ?params ~two_cells ~k () =
-  let system = load ~two_cells ~k in
-  let bus = Dr_bus.Bus.create ?params ~hosts () in
+   in the event heap, and [System.start] creates the bus internally.
+
+   [system] comes from one {!load} per configuration and is shared by
+   every execution: the AST and the MIL spec are immutable, so booting
+   only creates the bus, registers the programs (after the first boot,
+   physical-equality hits in the compile cache) and deploys. *)
+let boot (system : Dynrecon.System.t) =
+  let bus = Dr_bus.Bus.create ~hosts () in
   Dr_sim.Engine.mc_enable (Dr_bus.Bus.engine bus);
   List.iter
     (fun lm ->

@@ -10,6 +10,17 @@ let record t ~time ~category ~detail =
 
 let entries t = List.rev t.rev_entries
 
+(* The newest [count - n] cells of [rev_entries], reversed: O(new
+   entries), so a reader that polls with a cursor never re-walks the
+   whole trace. *)
+let entries_from t n =
+  let rec take k l acc =
+    match l with
+    | e :: rest when k > 0 -> take (k - 1) rest (e :: acc)
+    | _ -> acc
+  in
+  take (t.count - n) t.rev_entries []
+
 let by_category t category =
   List.filter (fun e -> String.equal e.category category) (entries t)
 

@@ -15,6 +15,11 @@ val record : t -> time:float -> category:string -> detail:string -> unit
 val entries : t -> entry list
 (** In recording order. *)
 
+val entries_from : t -> int -> entry list
+(** [entries_from t n]: the entries at index [>= n], in recording order.
+    Costs O(entries returned), not O(trace length) — for readers that
+    keep a cursor ([n] = the {!length} they last saw). *)
+
 val by_category : t -> string -> entry list
 
 val length : t -> int

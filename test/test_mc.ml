@@ -113,6 +113,30 @@ let test_crash_config_clean () =
   check_counts ~name:"single-replace-crash" ~executions:717 ~transitions:7974
     ~states:759 r
 
+(* The controller interleaving the explorer exists for: two concurrent
+   replacements of two cells behind one pinger. *)
+let test_double_replace_exhaustive () =
+  let r = Explorer.explore ~mode:Explorer.Dpor (config "double-replace") in
+  check_clean ~name:"double-replace" r;
+  check_exhaustive ~name:"double-replace" r;
+  check_counts ~name:"double-replace" ~executions:5525 ~transitions:119_515
+    ~states:6482 r
+
+(* A configuration loads its workload once; every execution's boot only
+   creates a bus and registers the already-loaded programs. Two boots of
+   one configuration therefore register the very same AST. *)
+let test_setup_shares_loaded_system () =
+  let cfg = config "double-replace" in
+  let a = cfg.Explorer.c_setup () and b = cfg.Explorer.c_setup () in
+  let cell (r : Explorer.run) =
+    match Dr_bus.Bus.registered_program r.Explorer.r_bus "cell" with
+    | Some p -> p
+    | None -> Alcotest.fail "cell not registered"
+  in
+  Alcotest.(check bool) "distinct buses" false
+    (a.Explorer.r_bus == b.Explorer.r_bus);
+  Alcotest.(check bool) "one loaded program" true (cell a == cell b)
+
 (* One fault decision (drop or duplicate) anywhere in the run: the
    reliable layer must still deliver exactly once, epochs must not
    regress, and the journal must stay scannable. *)
@@ -183,6 +207,10 @@ let () =
             test_single_replace_exhaustive;
           Alcotest.test_case "crash budget finds nothing" `Quick
             test_crash_config_clean;
+          Alcotest.test_case "double-replace exhaustive and clean" `Quick
+            test_double_replace_exhaustive;
+          Alcotest.test_case "setup shares the loaded system" `Quick
+            test_setup_shares_loaded_system;
           Alcotest.test_case "fault budget finds nothing" `Quick
             test_faults_config_clean ] );
       ( "stability",

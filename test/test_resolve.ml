@@ -425,6 +425,40 @@ let test_cache_scaling () =
   Alcotest.(check bool) "tokens circulated" true
     (Ring.total_passes bus ~instances:(Ring.members ~n:1000) > 0)
 
+(* The cache keys on the AST: equality, not the hash, decides a hit.
+   Eight procedures ahead of [main] put its constant [k] past the reach
+   of the cache's bounded structural hash, so programs differing only in
+   [k] land in one bucket. *)
+let cache_source ~k =
+  let procs =
+    List.init 8 (fun i ->
+        Printf.sprintf "proc p%d(x: int) : int {\n  return x + %d;\n}\n" i i)
+  in
+  Printf.sprintf
+    "module keyed;\n\n%s\nproc main() {\n  print(p0(1));\n  print(%d);\n}\n"
+    (String.concat "\n" procs) k
+
+let test_cache_reparse_hits () =
+  Cache.reset ();
+  let a = Cache.prepare (Support.parse (cache_source ~k:7)) in
+  Alcotest.(check (pair int int)) "first parse misses" (1, 0)
+    (Cache.misses (), Cache.hits ());
+  let b = Cache.prepare (Support.parse (cache_source ~k:7)) in
+  Alcotest.(check (pair int int)) "second parse hits" (1, 1)
+    (Cache.misses (), Cache.hits ());
+  Alcotest.(check bool) "one artifact" true (a == b)
+
+(* Programs that differ in one constant inside the last procedure share
+   a hash bucket but must not share an artifact. *)
+let test_cache_deep_difference_misses () =
+  Cache.reset ();
+  let a = Cache.prepare (Support.parse (cache_source ~k:7)) in
+  let b = Cache.prepare (Support.parse (cache_source ~k:8)) in
+  Alcotest.(check (pair int int)) "two misses, no hit" (2, 0)
+    (Cache.misses (), Cache.hits ());
+  Alcotest.(check bool) "distinct artifacts" false (a == b);
+  Alcotest.(check int) "two entries" 2 (Cache.entries ())
+
 let () =
   Alcotest.run "resolve"
     [ ( "resolver",
@@ -443,4 +477,8 @@ let () =
           qcheck_random_exprs ] );
       ( "cache",
         [ Alcotest.test_case "N=1000 spawns share one artifact" `Quick
-            test_cache_scaling ] ) ]
+            test_cache_scaling;
+          Alcotest.test_case "re-parse of one source hits" `Quick
+            test_cache_reparse_hits;
+          Alcotest.test_case "deep constant difference misses" `Quick
+            test_cache_deep_difference_misses ] ) ]

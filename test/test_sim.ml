@@ -194,6 +194,28 @@ let test_trace_records_and_filters () =
   Trace.clear t;
   Alcotest.(check int) "cleared" 0 (Trace.length t)
 
+let test_trace_entries_from () =
+  let t = Trace.create () in
+  let check_all what =
+    let all = Trace.entries t in
+    for n = 0 to Trace.length t do
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: from %d" what n)
+        (List.map
+           (fun (e : Trace.entry) -> e.detail)
+           (List.filteri (fun i _ -> i >= n) all))
+        (List.map (fun (e : Trace.entry) -> e.detail) (Trace.entries_from t n))
+    done
+  in
+  let record d = Trace.record t ~time:0.0 ~category:"c" ~detail:d in
+  check_all "empty";
+  List.iter record [ "a"; "b"; "c"; "d" ];
+  check_all "four";
+  Trace.clear t;
+  check_all "cleared";
+  List.iter record [ "e"; "f"; "g" ];
+  check_all "after clear"
+
 let () =
   Alcotest.run "sim"
     [ ( "prng",
@@ -224,4 +246,6 @@ let () =
           Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo ] );
       ( "trace",
         [ Alcotest.test_case "records and filters" `Quick
-            test_trace_records_and_filters ] ) ]
+            test_trace_records_and_filters;
+          Alcotest.test_case "entries from a cursor" `Quick
+            test_trace_entries_from ] ) ]
