@@ -24,6 +24,7 @@
    Run with: dune exec bench/main.exe -- rolling [--quick] *)
 
 module Bus = Dr_bus.Bus
+module Control = Dr_bus.Control
 module Faults = Dr_bus.Faults
 module Reliable = Dr_bus.Reliable
 module Roll = Dr_reconfig.Rolling
@@ -136,7 +137,7 @@ let run_cell ~n ~rate ~fault ~seed =
     Kv.Loadgen.retarget lg ~slot ~instance
   in
   let wave = Roll.run bus cfg ~group ?supervisor ~on_retarget () in
-  let crashed = Bus.controller_down bus in
+  let crashed = Control.down (Bus.control bus) in
   (* ctlcrash cells: the controller's memory is gone — discard the
      unsynced storage tail, reopen the log, recover, and point the load
      generator at whatever roster recovery settled on *)
@@ -147,7 +148,7 @@ let run_cell ~n ~rate ~fault ~seed =
       Bus.set_wal bus (ok_exn (Wal.create (Storage.storage_of_mem mem)));
       match Roll.recover bus with
       | Error _ -> (false, false)
-      | Ok (_report, _waves) ->
+      | Ok _report ->
         let consistent = ref true in
         List.iter
           (fun (slot, _) ->

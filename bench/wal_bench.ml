@@ -22,6 +22,7 @@
    Run with: dune exec bench/main.exe -- wal [--quick] *)
 
 module Bus = Dr_bus.Bus
+module Control = Dr_bus.Control
 module Faults = Dr_bus.Faults
 module Script = Dr_reconfig.Script
 module Journal = Dr_reconfig.Journal
@@ -118,11 +119,13 @@ let run_trial scenario ~loss ~seed ~ctl_crash =
   let deadline = scenario.sc_deadline in
   let first = replace_sync bus ~deadline ~instance:"c" ~new_instance:"c2" in
   let second =
-    if scenario.sc_double && Result.is_ok first && not (Bus.controller_down bus)
+    if
+      scenario.sc_double && Result.is_ok first
+      && not (Control.down (Bus.control bus))
     then Some (replace_sync bus ~deadline ~instance:"b" ~new_instance:"b2")
     else None
   in
-  let crashed = Bus.controller_down bus in
+  let crashed = Control.down (Bus.control bus) in
   let recovery =
     if crashed then begin
       (* the controller's memory is gone: unsynced storage tail too *)
@@ -156,7 +159,7 @@ let run_trial scenario ~loss ~seed ~ctl_crash =
       || (first_done && (second_untouched || second_done))
   in
   ignore second;
-  (consistent, crashed, Bus.ctl_appends bus, recovery)
+  (consistent, crashed, Control.appends (Bus.control bus), recovery)
 
 type sweep_row = {
   row_scenario : string;

@@ -451,14 +451,15 @@ let run_cmd =
              ~new_instance:fresh ~new_host:host
          with
         | Ok _ -> Printf.printf "migrated %s -> %s on %s\n" inst fresh host
-        | Error e when Dr_bus.Bus.controller_down bus ->
+        | Error e when Dr_bus.Control.down (Dr_bus.Bus.control bus) ->
           Printf.printf "migration abandoned: %s\n" e
         | Error e -> or_die (Error e));
         Dr_bus.Bus.run ~until bus));
-    if Dr_bus.Bus.controller_down bus then begin
+    let ctl = Dr_bus.Bus.control bus in
+    if Dr_bus.Control.down ctl then begin
       Printf.printf
         "controller crashed after control-log append %d; replaying the log\n"
-        (Dr_bus.Bus.ctl_appends bus);
+        (Dr_bus.Control.appends ctl);
       match Dr_reconfig.Recovery.replay bus with
       | Ok report ->
         Fmt.pr "recovery: %a@." Dr_reconfig.Recovery.pp_report report;
@@ -558,7 +559,7 @@ let recover_cmd =
         (Dr_wal.Wal.records wal);
     match Dr_reconfig.Recovery.scan wal with
     | Error e -> or_die (Error e)
-    | Ok scripts ->
+    | Ok { scripts; _ } ->
       List.iter
         (fun (s : Dr_reconfig.Recovery.script) ->
           Printf.printf "script #%d %-24s %d step(s)  %s\n" s.sc_sid
@@ -664,11 +665,11 @@ let roll_cmd =
          ()
      with
     | Ok report -> Fmt.pr "%a@." Rolling.pp_report report
-    | Error e when Dr_bus.Bus.controller_down bus -> (
+    | Error e when Dr_bus.Control.down (Dr_bus.Bus.control bus) -> (
       Printf.printf "wave interrupted: %s\n" e;
       match Rolling.recover bus with
       | Error e -> or_die (Error ("recovery failed: " ^ e))
-      | Ok (report, waves) ->
+      | Ok report ->
         Fmt.pr "recovery: %a@." Dr_reconfig.Recovery.pp_report report;
         List.iter
           (fun (w : Dr_reconfig.Recovery.wave) ->
@@ -680,7 +681,7 @@ let roll_cmd =
               | Dr_reconfig.Recovery.Wave_open ->
                 "open — roster held, re-roll at your discretion")
               (List.length w.wv_done))
-          waves)
+          report.rp_waves)
     | Error e -> or_die (Error e));
     Kv.Loadgen.stop lg;
     Dr_bus.Bus.run ~until:(Dr_bus.Bus.now bus +. 30.0) bus;

@@ -73,16 +73,6 @@ type quarantined = {
   q_byte_size : int;
 }
 
-type detector_config = {
-  dc_period : float;
-  dc_timeout : float;
-  dc_threshold : int;
-}
-
-let default_detector_config = { dc_period = 1.0; dc_timeout = 3.0; dc_threshold = 2 }
-
-exception Controller_crash
-
 (* How a value reached an input queue: [Fresh] is a first-time delivery
    (a bus delivery or the reliable layer's frame arrival), [Transfer] a
    requeue of something already delivered once (a replacement's
@@ -104,28 +94,17 @@ type t = {
   down_hosts : (string, unit) Hashtbl.t;
   mutable transport : transport option;
   mutable activity_hook : (string -> unit) option;
-  corrupt_images : (string, unit) Hashtbl.t;
   mutable quarantine_rev : quarantined list;
   mutable bus_metrics : Metrics.t option;
-  (* durable control plane (see Journal/Recovery in dr_reconfig): the
-     write-ahead log the journal appends to, plus the controller fault
-     model — a counter of control-log appends and an optional armed
-     crash point. With no WAL attached nothing here is ever consulted,
-     so the classic traces are untouched. *)
-  mutable bus_wal : Dr_wal.Wal.t option;
-  mutable ctl_appends : int;
-  mutable ctl_crash_at : int option;
-  mutable ctl_down : bool;
-  mutable ctl_next_sid : int;
-  mutable ctl_open : int;  (* scripts begun and not yet committed/aborted *)
+  (* the controller that drives this bus (see Control): the bus only
+     reads its checkpoint gate, for model-checker labels *)
+  control : Control.t;
   (* drain-aware routing: replica siblings and the members currently
      draining. Both empty outside a rolling replacement, so the delivery
      paths never consult them (golden traces untouched). *)
   drain_members : (string, string array) Hashtbl.t;
   draining : (string, unit) Hashtbl.t;
   mutable drain_cursor : int;
-  (* failure-detector tunables for detectors started on this bus *)
-  mutable det_config : detector_config;
   mutable spawn_gen : int;  (* next spawn generation number *)
   (* model-checker observation point: called on every successful enqueue
      into an input queue. Passive — never schedules, never traces. *)
@@ -170,9 +149,10 @@ let set_metrics t registry =
 let metrics t = t.bus_metrics
 
 let create ?(params = default_params) ~hosts () =
+  let engine = Engine.create () and trace = Trace.create () in
   let t =
-    { engine = Engine.create ();
-      trace = Trace.create ();
+    { engine;
+      trace;
       bus_params = params;
       bus_hosts = hosts;
       programs = Hashtbl.create 8;
@@ -184,19 +164,12 @@ let create ?(params = default_params) ~hosts () =
       down_hosts = Hashtbl.create 4;
       transport = None;
       activity_hook = None;
-      corrupt_images = Hashtbl.create 4;
       quarantine_rev = [];
       bus_metrics = None;
-      bus_wal = None;
-      ctl_appends = 0;
-      ctl_crash_at = None;
-      ctl_down = false;
-      ctl_next_sid = 0;
-      ctl_open = 0;
+      control = Control.create engine trace;
       drain_members = Hashtbl.create 4;
       draining = Hashtbl.create 4;
       drain_cursor = 0;
-      det_config = default_detector_config;
       spawn_gen = 0;
       delivery_obs = None }
   in
@@ -206,8 +179,8 @@ let create ?(params = default_params) ~hosts () =
 let engine t = t.engine
 let trace t = t.trace
 let now t = Engine.now t.engine
-let params t = t.bus_params
-let hosts t = t.bus_hosts
+let control t = t.control
+let set_wal t w = Control.set_wal t.control w
 
 let find_host t name =
   List.find_opt (fun h -> String.equal h.host_name name) t.bus_hosts
@@ -222,52 +195,6 @@ let record t category fmt =
    (they are alive-but-stopped, as before). *)
 let find_proc t instance = Hashtbl.find_opt t.live instance
 
-(* ---------------------------------------------- durable control plane *)
-
-let set_wal t w = t.bus_wal <- Some w
-let wal t = t.bus_wal
-let controller_down t = t.ctl_down
-let ctl_appends t = t.ctl_appends
-
-(* Arm a single-shot controller crash: the controller dies immediately
-   after its [after]-th control-log append completes (record durable,
-   bus operation applied) — the sharpest point for recovery, since every
-   logged record's operation has taken effect and undo is exact. The
-   engine guard swallows the unwind so the rest of the fleet keeps
-   running: a dead controller does not stop the application. *)
-let arm_ctl_crash t ~after =
-  t.ctl_crash_at <- Some after;
-  Engine.set_guard t.engine (function Controller_crash -> true | _ -> false);
-  record t "fault" "controller crash armed after control-log append %d" after
-
-let ctl_tick t =
-  t.ctl_appends <- t.ctl_appends + 1;
-  match t.ctl_crash_at with
-  | Some n when t.ctl_appends >= n ->
-    t.ctl_crash_at <- None;
-    t.ctl_down <- true;
-    record t "fault" "controller crashed after control-log append %d"
-      t.ctl_appends;
-    raise Controller_crash
-  | _ -> ()
-
-let recover_controller t =
-  if t.ctl_down then begin
-    t.ctl_down <- false;
-    t.ctl_open <- 0;  (* whatever was open died with the controller *)
-    record t "recover" "controller restarted"
-  end
-
-let ctl_scripts_open t = t.ctl_open
-let ctl_script_opened t = t.ctl_open <- t.ctl_open + 1
-let ctl_script_closed t = t.ctl_open <- max 0 (t.ctl_open - 1)
-
-let next_script_id t =
-  t.ctl_next_sid <- t.ctl_next_sid + 1;
-  t.ctl_next_sid
-
-let note_script_id t sid = t.ctl_next_sid <- max t.ctl_next_sid sid
-
 (* --------------------------------------------------------------- faults *)
 
 let set_fault_hooks t hooks = t.fault_hooks <- Some hooks
@@ -281,7 +208,6 @@ let host_is_down t name = Hashtbl.mem t.down_hosts name
    reliable-delivery layer installs one); [None] is the classic
    fire-and-forget bus, byte-for-byte. *)
 let set_transport t transport = t.transport <- Some transport
-let clear_transport t = t.transport <- None
 let has_transport t = Option.is_some t.transport
 
 (* How long the reliable layer's retransmission timers have kept frames
@@ -312,18 +238,6 @@ let notify_delivery t ~dst ~kind value =
   | Some obs -> obs ~dst ~kind value
 
 (* -------------------------------------------------- image quarantine *)
-
-let arm_image_corruption t ~instance =
-  Hashtbl.replace t.corrupt_images instance ();
-  record t "fault" "image corruption armed for %s" instance
-
-let consume_image_corruption t ~instance =
-  if Hashtbl.mem t.corrupt_images instance then begin
-    Hashtbl.remove t.corrupt_images instance;
-    record t "fault" "injected image corruption: %s" instance;
-    true
-  end
-  else false
 
 let quarantine_image t ~instance ~reason ~byte_size =
   m_incr t ~labels:[ ("instance", instance) ] "reconfig.quarantined";
@@ -416,7 +330,8 @@ let latency t src_host dst_host =
    messages it may send. *)
 let quantum_label t p =
   if not (Engine.mc_enabled t.engine) then Engine.tau
-  else if t.ctl_open > 0 || Option.is_some p.p_on_divulge then
+  else if Control.open_scripts t.control > 0 || Option.is_some p.p_on_divulge
+  then
     Engine.label ~info:("quantum " ^ p.p_instance) "quantum"
   else
     let out =
@@ -488,13 +403,7 @@ and run_quantum t p =
     let cost = float_of_int executed *. t.bus_params.instr_cost in
     match Machine.status p.p_machine with
     | Machine.Ready -> schedule_quantum t p ~delay:(Float.max cost t.bus_params.instr_cost)
-    | Machine.Sleeping duration ->
-      Engine.schedule ~label:(quantum_label t p) t.engine
-        ~delay:(cost +. duration) (fun () ->
-          if p.p_alive then begin
-            Machine.set_ready p.p_machine;
-            schedule_quantum t p ~delay:0.0
-          end)
+    | Machine.Sleeping duration -> wake_after t p ~delay:(cost +. duration)
     | Machine.Blocked_read _ | Machine.Blocked_decode ->
       (* parked: woken by message/state arrival *)
       ()
@@ -502,6 +411,15 @@ and run_quantum t p =
     | Machine.Crashed message ->
       record t "crash" "%s crashed: %s" p.p_instance message
   end
+
+(* a sleeping machine wakes by an event that readies it and schedules
+   its next quantum *)
+and wake_after t p ~delay =
+  Engine.schedule ~label:(quantum_label t p) t.engine ~delay (fun () ->
+      if p.p_alive then begin
+        Machine.set_ready p.p_machine;
+        schedule_quantum t p ~delay:0.0
+      end)
 
 let wake_endpoint t p iface =
   match Machine.status p.p_machine with
@@ -572,25 +490,9 @@ let pending_messages t (instance, iface) =
 
 (* ---------------------------------------------- drain-aware routing *)
 
-let detector_config t = t.det_config
-
-let set_detector_config t cfg =
-  if cfg.dc_period <= 0.0 then
-    invalid_arg "set_detector_config: period must be positive";
-  if cfg.dc_timeout <= 0.0 then
-    invalid_arg "set_detector_config: timeout must be positive";
-  if cfg.dc_threshold <= 0 then
-    invalid_arg "set_detector_config: threshold must be positive";
-  t.det_config <- cfg
-
 let set_drain_group t ~members =
   let arr = Array.of_list members in
   List.iter (fun m -> Hashtbl.replace t.drain_members m arr) members
-
-let drain_group t ~instance =
-  match Hashtbl.find_opt t.drain_members instance with
-  | Some arr -> Array.to_list arr
-  | None -> []
 
 let mark_draining t ~instance =
   if not (Hashtbl.mem t.draining instance) then begin
@@ -610,18 +512,7 @@ let draining_instances t =
   List.sort String.compare
     (Hashtbl.fold (fun k () acc -> k :: acc) t.draining [])
 
-(* Admitting = present, machine not stopped, host up, not draining. *)
-let drain_admitting t instance =
-  match find_proc t instance with
-  | None -> false
-  | Some p -> (
-    (not (host_is_down t p.p_host.host_name))
-    && (not (Hashtbl.mem t.draining instance))
-    &&
-    match Machine.status p.p_machine with
-    | Machine.Halted | Machine.Crashed _ -> false
-    | _ -> true)
-
+(* Alive = present, machine not stopped, host up. *)
 let drain_alive t instance =
   match find_proc t instance with
   | None -> false
@@ -631,6 +522,9 @@ let drain_alive t instance =
     match Machine.status p.p_machine with
     | Machine.Halted | Machine.Crashed _ -> false
     | _ -> true)
+
+let drain_admitting t instance =
+  drain_alive t instance && not (Hashtbl.mem t.draining instance)
 
 let resolve_drain t ~instance =
   if drain_admitting t instance then Some instance
@@ -681,6 +575,13 @@ let drain_redirect t dst =
         (target, iface)
       | Some _ | None -> dst
 
+(* the tail every successful delivery shares: observe, enqueue, wake a
+   reader blocked on that interface *)
+let enqueue t p ~dst ~kind value =
+  notify_delivery t ~dst ~kind value;
+  Queue.add value (queue_of p (snd dst));
+  wake_endpoint t p (snd dst)
+
 let deliver_k t kind ~dst value =
   let dst = drain_redirect t dst in
   let instance, iface = dst in
@@ -694,9 +595,7 @@ let deliver_k t kind ~dst value =
         iface p.p_host.host_name
     else begin
       m_incr t ~labels:[ ("instance", instance) ] "bus.delivered";
-      notify_delivery t ~dst ~kind value;
-      Queue.add value (queue_of p iface);
-      wake_endpoint t p iface
+      enqueue t p ~dst ~kind value
     end
 
 let deliver t ~dst value = deliver_k t Fresh ~dst value
@@ -764,6 +663,27 @@ let deliver_or_redirect t ~src ~dst ~peers value =
     | [] -> record t "drop" "in-flight message from %s.%s lost" (fst src) (snd src)
     | dsts -> List.iter (fun dst -> deliver t ~dst value) dsts)
 
+(* One timed hop from [src] to [dst], subject to the fault hooks: the
+   jitter is drawn first, then the message decision — the seeded draw
+   order every replayable chaos run depends on. [send] schedules the
+   arrival after the (possibly jittered) delay; a [Drop] records the
+   loss instead, a [Duplicate] sends twice. *)
+let hop t ~src ~dst ~delay send =
+  match t.fault_hooks with
+  | None -> send delay
+  | Some hooks -> (
+    let delay = delay +. hooks.fh_jitter () in
+    match hooks.fh_message ~src ~dst with
+    | Deliver -> send delay
+    | Drop ->
+      record t "fault" "injected loss: %s.%s -> %s.%s" (fst src) (snd src)
+        (fst dst) (snd dst)
+    | Duplicate ->
+      record t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src) (snd src)
+        (fst dst) (snd dst);
+      send delay;
+      send delay)
+
 let route_message t p iface value =
   let src = (p.p_instance, iface) in
   (match t.activity_hook with
@@ -777,51 +697,34 @@ let route_message t p iface value =
   else
     List.iter
       (fun dst ->
-        m_incr t
-          ~labels:[ ("route", fst src ^ "->" ^ fst dst) ]
-          "bus.messages_routed";
+        (* guarded like run_quantum's counter: the label is built only
+           when a registry is attached *)
+        if Option.is_some t.bus_metrics then
+          m_incr t
+            ~labels:[ ("route", fst src ^ "->" ^ fst dst) ]
+            "bus.messages_routed";
         let handled =
           match t.transport with
           | Some tr -> tr.tr_send ~src ~dst value
           | None -> false
         in
-        if not handled then begin
+        if not handled then
           let dst_host =
             match find_proc t (fst dst) with
             | Some dp -> dp.p_host
             | None -> p.p_host
           in
-          let delay = latency t p.p_host dst_host in
-          let send ~delay =
-            m_add_gauge t "bus.in_flight" 1.;
-            Engine.schedule ~label:(deliver_label t ~dst value) t.engine ~delay
-              (fun () ->
-                m_add_gauge t "bus.in_flight" (-1.);
-                deliver_or_redirect t ~src ~dst ~peers:dsts value)
-          in
-          match t.fault_hooks with
-          | None -> send ~delay
-          | Some hooks -> (
-            let delay = delay +. hooks.fh_jitter () in
-            match hooks.fh_message ~src ~dst with
-            | Deliver -> send ~delay
-            | Drop ->
-              record t "fault" "injected loss: %s.%s -> %s.%s" (fst src)
-                (snd src) (fst dst) (snd dst)
-            | Duplicate ->
-              record t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src)
-                (snd src) (fst dst) (snd dst);
-              send ~delay;
-              send ~delay)
-        end)
+          hop t ~src ~dst ~delay:(latency t p.p_host dst_host) (fun delay ->
+              m_add_gauge t "bus.in_flight" 1.;
+              Engine.schedule ~label:(deliver_label t ~dst value) t.engine
+                ~delay (fun () ->
+                  m_add_gauge t "bus.in_flight" (-1.);
+                  deliver_or_redirect t ~src ~dst ~peers:dsts value)))
       dsts
 
-(* A raw timed hop between two endpoints, subject to the fault hooks but
-   carrying a callback rather than a queued value — the primitive the
-   reliable layer's frames, acks and the detector's heartbeats ride on.
-   [k] runs at the receiving end after the (possibly jittered) latency;
-   a [Drop] decision consumes a PRNG draw and records the loss exactly
-   like an application message. *)
+(* A raw timed hop between two endpoints carrying a callback rather than
+   a queued value — the primitive the reliable layer's frames, acks and
+   the detector's heartbeats ride on. [k] runs at the receiving end. *)
 let transmit t ~src ~dst k =
   let host_of (instance, _) =
     Option.map (fun p -> p.p_host) (find_proc t instance)
@@ -831,23 +734,8 @@ let transmit t ~src ~dst k =
     | Some a, Some b -> latency t a b
     | _ -> t.bus_params.local_latency
   in
-  let send ~delay =
-    Engine.schedule ~label:(net_label t ~src ~dst) t.engine ~delay k
-  in
-  match t.fault_hooks with
-  | None -> send ~delay
-  | Some hooks -> (
-    let delay = delay +. hooks.fh_jitter () in
-    match hooks.fh_message ~src ~dst with
-    | Deliver -> send ~delay
-    | Drop ->
-      record t "fault" "injected loss: %s.%s -> %s.%s" (fst src) (snd src)
-        (fst dst) (snd dst)
-    | Duplicate ->
-      record t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src) (snd src)
-        (fst dst) (snd dst);
-      send ~delay;
-      send ~delay)
+  hop t ~src ~dst ~delay (fun delay ->
+      Engine.schedule ~label:(net_label t ~src ~dst) t.engine ~delay k)
 
 (* Hand a value straight to a destination queue with no latency, no
    fault decision and no trace on success: the reliable layer calls this
@@ -855,15 +743,12 @@ let transmit t ~src ~dst k =
    Returns [false] when the destination is gone or its host is down, so
    the caller can withhold the ack and let retransmission recover. *)
 let deliver_now t ~dst value =
-  let instance, iface = dst in
-  match find_proc t instance with
+  match find_proc t (fst dst) with
   | None -> false
   | Some p ->
     if host_is_down t p.p_host.host_name then false
     else begin
-      notify_delivery t ~dst ~kind:Fresh value;
-      Queue.add value (queue_of p iface);
-      wake_endpoint t p iface;
+      enqueue t p ~dst ~kind:Fresh value;
       true
     end
 
@@ -905,6 +790,35 @@ let instance_io t (p_ref : process option ref) : Dr_interp.Io_intf.t =
       (* images arrive via [deposit_state], which feeds the machine
          directly; mh_decode blocks otherwise *) }
 
+(* Register a new live process whose machine [machine_of_io] builds over
+   the instance's io, under the next spawn generation. *)
+let register t ~instance ~module_name ~host ~spec machine_of_io =
+  let p_ref = ref None in
+  let machine = machine_of_io (instance_io t p_ref) in
+  let gen = t.spawn_gen in
+  t.spawn_gen <- t.spawn_gen + 1;
+  let p =
+    { p_instance = instance;
+      p_module = module_name;
+      p_gen = gen;
+      p_host = host;
+      p_spec = spec;
+      p_machine = machine;
+      p_queues = Hashtbl.create 8;
+      p_last_queue = None;
+      p_outputs = [];
+      p_divulged = [];
+      p_on_divulge = None;
+      p_alive = true;
+      p_scheduled = false;
+      p_started = now t;
+      p_ended = None }
+  in
+  p_ref := Some p;
+  t.procs_rev <- p :: t.procs_rev;
+  Hashtbl.replace t.live instance p;
+  p
+
 let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
   match find_proc t instance with
   | Some _ -> Error (Printf.sprintf "instance %s already exists" instance)
@@ -917,34 +831,11 @@ let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
       match Hashtbl.find_opt t.programs module_name with
       | None -> Error (Printf.sprintf "module %s is not registered" module_name)
       | Some (program, artifact) ->
-        let p_ref = ref None in
-        let io = instance_io t p_ref in
-        let machine =
-          Machine.create ~status_attr:status ~io
-            ~resolved:artifact.Dr_interp.Cache.a_resolved program
-        in
-        let gen = t.spawn_gen in
-        t.spawn_gen <- t.spawn_gen + 1;
         let p =
-          { p_instance = instance;
-            p_module = module_name;
-            p_gen = gen;
-            p_host = h;
-            p_spec = spec;
-            p_machine = machine;
-            p_queues = Hashtbl.create 8;
-            p_last_queue = None;
-            p_outputs = [];
-            p_divulged = [];
-            p_on_divulge = None;
-            p_alive = true;
-            p_scheduled = false;
-            p_started = now t;
-            p_ended = None }
+          register t ~instance ~module_name ~host:h ~spec (fun io ->
+              Machine.create ~status_attr:status ~io
+                ~resolved:artifact.Dr_interp.Cache.a_resolved program)
         in
-        p_ref := Some p;
-        t.procs_rev <- p :: t.procs_rev;
-        Hashtbl.replace t.live instance p;
         m_incr t ~labels:[ ("instance", instance) ] "bus.spawns";
         record t "lifecycle" "%s (%s) started on %s as %s" instance module_name
           h.host_name status;
@@ -963,43 +854,16 @@ let spawn_snapshot t ~of_instance ~instance ~host =
       | Some _ when host_is_down t host ->
         Error (Printf.sprintf "host %s is down" host)
       | Some h ->
-        let p_ref = ref None in
-        let io = instance_io t p_ref in
-        let machine = Machine.clone source.p_machine ~io in
-        let gen = t.spawn_gen in
-        t.spawn_gen <- t.spawn_gen + 1;
         let p =
-          { p_instance = instance;
-            p_module = source.p_module;
-            p_gen = gen;
-            p_host = h;
-            p_spec = source.p_spec;
-            p_machine = machine;
-            p_queues = Hashtbl.create 8;
-            p_last_queue = None;
-            p_outputs = [];
-            p_divulged = [];
-            p_on_divulge = None;
-            p_alive = true;
-            p_scheduled = false;
-            p_started = now t;
-            p_ended = None }
+          register t ~instance ~module_name:source.p_module ~host:h
+            ~spec:source.p_spec (fun io -> Machine.clone source.p_machine ~io)
         in
-        p_ref := Some p;
-        t.procs_rev <- p :: t.procs_rev;
-        Hashtbl.replace t.live instance p;
         record t "lifecycle" "%s snapshot-cloned as %s on %s" of_instance
           instance h.host_name;
         (* re-arm scheduling for whatever state the snapshot was in *)
-        (match Machine.status machine with
+        (match Machine.status p.p_machine with
         | Machine.Ready -> schedule_quantum t p ~delay:0.0
-        | Machine.Sleeping duration ->
-          Engine.schedule ~label:(quantum_label t p) t.engine ~delay:duration
-            (fun () ->
-              if p.p_alive then begin
-                Machine.set_ready p.p_machine;
-                schedule_quantum t p ~delay:0.0
-              end)
+        | Machine.Sleeping duration -> wake_after t p ~delay:duration
         | Machine.Blocked_read _ | Machine.Blocked_decode ->
           ()  (* woken by message/state arrival *)
         | Machine.Halted | Machine.Crashed _ -> ());
@@ -1149,16 +1013,6 @@ let cancel_divulge t ~instance =
       record t "state" "divulge callback for %s cancelled" instance
     end
 
-let take_divulged t ~instance =
-  match find_proc t instance with
-  | None -> None
-  | Some p -> (
-    match p.p_divulged with
-    | image :: rest ->
-      p.p_divulged <- rest;
-      Some image
-    | [] -> None)
-
 let deposit_state t ~instance ?expect image =
   match find_proc t instance with
   | None ->
@@ -1188,5 +1042,3 @@ let run_while t ?(max_events = max_int) predicate =
   while predicate () && !fired < max_events && Engine.step t.engine do
     incr fired
   done
-
-let quiescent t = Engine.pending t.engine = 0

@@ -46,9 +46,7 @@ val set_metrics : t -> Dr_obs.Metrics.t -> unit
     registry when the [DRC_METRICS] environment variable is set. *)
 
 val metrics : t -> Dr_obs.Metrics.t option
-val params : t -> params
 
-val hosts : t -> host list
 val find_host : t -> string -> host option
 
 (** {1 Programs and processes} *)
@@ -138,69 +136,17 @@ val wake : t -> instance:string -> unit
 (** Force a blocked/sleeping machine ready and reschedule it. Safe on a
     removed or stopped instance: records an audit trace entry instead. *)
 
-(** {1 Durable control plane}
+(** {1 Control plane}
 
-    The reconfiguration journal ({!Dr_reconfig.Journal}) appends its
-    records to a write-ahead log attached here, and the fault plane can
-    arm a {e controller crash}: the controller (the reconfiguration
-    manager driving the current script) dies immediately after its
-    [N]-th control-log append completes. The crash point sits after the
-    logged bus operation has been applied, so every record on the log
-    corresponds to an applied operation and recovery's undo is exact.
-    The raise is swallowed by an engine guard — the application fleet
-    keeps running with the controller dead, exactly the stranded state
-    {!Dr_reconfig.Recovery} exists to repair. With no WAL attached,
-    none of this machinery runs. *)
+    The bus is the data plane. The reconfiguration controller's state —
+    control log, crash fault model, incarnation, script ids, checkpoint
+    gate — lives in the bus's {!Control.t}; the bus itself only reads
+    the gate, for model-checker labels. *)
 
-exception Controller_crash
-(** Raised (out of the journal's logging tick) when an armed controller
-    crash fires. Never escapes the engine loop: {!arm_ctl_crash}
-    installs a guard that abandons the in-flight event. *)
+val control : t -> Control.t
 
 val set_wal : t -> Dr_wal.Wal.t -> unit
-(** Attach the control-plane write-ahead log. *)
-
-val wal : t -> Dr_wal.Wal.t option
-
-val arm_ctl_crash : t -> after:int -> unit
-(** Arm a single-shot controller crash after the [after]-th control-log
-    append (1-based, counted over the bus lifetime — see
-    {!ctl_appends}). *)
-
-val ctl_tick : t -> unit
-(** Count one control-log append; fires the armed crash when the count
-    is reached ([ctl_down] becomes true and {!Controller_crash} is
-    raised). Called by the journal, once per logged record, after the
-    corresponding bus operation applied. *)
-
-val ctl_appends : t -> int
-(** Control-log appends so far (the crash-sweep index space). *)
-
-val controller_down : t -> bool
-(** True between an armed crash firing and {!recover_controller} —
-    script continuations (deadlines, retries) check this and go
-    silent, like callbacks into a dead process would. *)
-
-val recover_controller : t -> unit
-(** Bring the controller back (recovery replay runs after this). *)
-
-val next_script_id : t -> int
-(** Fresh monotonic script id for journal [Begin] records. *)
-
-val note_script_id : t -> int -> unit
-(** Advance the script-id counter to at least [sid] (recovery calls
-    this with ids read back from the log so restarted controllers never
-    reuse one). *)
-
-val ctl_scripts_open : t -> int
-(** Scripts begun and not yet committed or fully rolled back. The
-    journal checkpoints the log only at zero — a checkpoint would
-    garbage-collect an open script's records. Reset by
-    {!recover_controller}. *)
-
-val ctl_script_opened : t -> unit
-
-val ctl_script_closed : t -> unit
+(** Attach the control-plane write-ahead log ({!Control.set_wal}). *)
 
 (** {1 Fault plane}
 
@@ -259,8 +205,6 @@ type transport = {
 
 val set_transport : t -> transport -> unit
 
-val clear_transport : t -> unit
-
 val has_transport : t -> bool
 
 val transport_rename :
@@ -303,10 +247,10 @@ val set_delivery_observer :
 
 (** {1 Image quarantine}
 
-    State-image integrity support: the fault plane can arm a one-shot
-    corruption for an instance's next capture, and any layer that
-    detects a bad image (checksum or digest mismatch) quarantines it
-    here with a ["quarantine"] trace entry instead of restoring it. *)
+    State-image integrity support: any layer that detects a bad image
+    (checksum or digest mismatch) quarantines it here with a
+    ["quarantine"] trace entry instead of restoring it. (The fault
+    plane arms corruptions through {!Control.arm_image_corruption}.) *)
 
 type quarantined = {
   q_time : float;
@@ -314,12 +258,6 @@ type quarantined = {
   q_reason : string;
   q_byte_size : int;
 }
-
-val arm_image_corruption : t -> instance:string -> unit
-
-val consume_image_corruption : t -> instance:string -> bool
-(** [true] exactly once after an arm: the caller must corrupt the
-    in-flight encoded image. Records the injection as a ["fault"]. *)
 
 val quarantine_image :
   t -> instance:string -> reason:string -> byte_size:int -> unit
@@ -375,9 +313,6 @@ val set_drain_group : t -> members:string list -> unit
 (** Register (or re-register, after a member is renamed by a
     replacement) the sibling set. Each member maps to the full list. *)
 
-val drain_group : t -> instance:string -> string list
-(** The registered siblings of [instance] ([[]] when none). *)
-
 val mark_draining : t -> instance:string -> unit
 (** Stop admitting new deliveries: subsequent messages for [instance]
     are redirected to a sibling chosen by {!resolve_drain}. Messages
@@ -403,31 +338,6 @@ val resolve_drain : t -> instance:string -> string option
     generators call this at send time; the bus applies the same rule
     to routed deliveries. *)
 
-(** {1 Failure-detector tunables}
-
-    Suspicion parameters for {!Dr_reconfig.Detector}s started on this
-    bus. Per-bus rather than compile-time so a rolling-replacement
-    canary window can widen the detector's patience first — a replace
-    landing inside one heartbeat interval must not race the detector
-    into a false suspicion (and a double replacement). *)
-
-type detector_config = {
-  dc_period : float;  (** heartbeat/check period *)
-  dc_timeout : float;  (** silence beyond this gains suspicion *)
-  dc_threshold : int;  (** consecutive silent checks until suspected *)
-}
-
-val default_detector_config : detector_config
-(** period 1.0, timeout 3.0, threshold 2 — the former compile-time
-    constants. *)
-
-val detector_config : t -> detector_config
-
-val set_detector_config : t -> detector_config -> unit
-(** Rejects non-positive period/timeout/threshold with
-    [Invalid_argument]. Detectors read the config at [start]; changing
-    it does not retune detectors already running. *)
-
 (** {1 Reconfiguration support} *)
 
 val signal_reconfig : t -> instance:string -> unit
@@ -442,9 +352,8 @@ val on_divulge : t -> instance:string -> (Dr_state.Image.t -> unit) -> unit
 val cancel_divulge : t -> instance:string -> unit
 (** Disarm a pending {!on_divulge} callback (rollback of a script whose
     deadline expired before the module complied). A later divulge then
-    parks its image for {!take_divulged} instead of invoking anything. *)
-
-val take_divulged : t -> instance:string -> Dr_state.Image.t option
+    parks its image for the next {!on_divulge} instead of invoking
+    anything. *)
 
 val deposit_state :
   t -> instance:string -> ?expect:int64 -> Dr_state.Image.t -> unit
@@ -460,6 +369,3 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 
 val run_while : t -> ?max_events:int -> (unit -> bool) -> unit
 (** Keep firing events while the predicate holds and events remain. *)
-
-val quiescent : t -> bool
-(** No events pending (all processes parked or finished). *)

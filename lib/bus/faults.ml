@@ -42,7 +42,8 @@ let fire bus = function
   | Host_recover h -> Bus.recover_host bus ~host:h
   | Process_crash i ->
     Bus.crash_process bus ~instance:i ~reason:"injected crash"
-  | Image_corrupt i -> Bus.arm_image_corruption bus ~instance:i
+  | Image_corrupt i ->
+    Control.arm_image_corruption (Bus.control bus) ~instance:i
 
 let install bus ~seed p =
   List.iter
@@ -50,7 +51,7 @@ let install bus ~seed p =
       Engine.schedule_at (Bus.engine bus) ~time (fun () -> fire bus event))
     p.fp_events;
   (match p.fp_ctl_crash with
-  | Some n -> Bus.arm_ctl_crash bus ~after:n
+  | Some n -> Control.arm_crash (Bus.control bus) ~after:n
   | None -> ());
   if p.fp_rules = [] && p.fp_jitter = 0.0 then Bus.clear_fault_hooks bus
   else begin

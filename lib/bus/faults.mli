@@ -18,7 +18,7 @@ type event =
   | Process_crash of string  (** kill -9 one instance *)
   | Image_corrupt of string
       (** arm a one-shot corruption of the instance's next captured
-          state image ({!Bus.arm_image_corruption}); the codec's
+          state image ({!Control.arm_image_corruption}); the codec's
           checksum catches it and the image is quarantined *)
 
 type rule = {
@@ -34,7 +34,7 @@ type plan = {
   fp_jitter : float;  (** max uniform extra latency per hop *)
   fp_ctl_crash : int option;
       (** kill the reconfiguration controller after this many
-          control-log appends ({!Bus.arm_ctl_crash}) — an index into
+          control-log appends ({!Control.arm_crash}) — an index into
           the journal's append sequence, not a virtual time, so the
           crash lands at an exact point of the script's durable
           history regardless of scheduling *)

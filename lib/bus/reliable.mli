@@ -44,10 +44,6 @@ val attach : ?params:params -> Bus.t -> t
 (** Install the layer as the bus transport. No route is reliable until
     {!enable_route} or {!enable_all}. *)
 
-val detach : t -> unit
-(** Uninstall; the bus reverts to fire-and-forget. In-flight channel
-    state is abandoned. *)
-
 val enable_all : t -> unit
 (** Every route gets a reliable channel, created on first send. *)
 

@@ -53,6 +53,7 @@
    loudly when exhaustiveness was lost. *)
 
 module Bus = Dr_bus.Bus
+module Control = Dr_bus.Control
 module Faults = Dr_bus.Faults
 module Reliable = Dr_bus.Reliable
 module Engine = Dr_sim.Engine
@@ -266,9 +267,10 @@ let fingerprint run ~faults_left ~crash_left ~ctlcrash_used =
     (List.sort compare (Bus.all_routes bus));
   add "D %s\n"
     (String.concat "," (List.sort String.compare (Bus.draining_instances bus)));
-  add "C %d %b %d\n" (Bus.ctl_scripts_open bus) (Bus.controller_down bus)
-    (Bus.ctl_appends bus);
-  (match Bus.wal bus with
+  let ctl = Bus.control bus in
+  add "C %d %b %d\n" (Control.open_scripts ctl) (Control.down ctl)
+    (Control.appends ctl);
+  (match Control.wal ctl with
   | Some w -> add "W %d\n" (Wal.next_lsn w)
   | None -> ());
   (match run.r_reliable with
@@ -395,7 +397,7 @@ let run_execution ?(strict = false) ?(forced = []) (st : st option) cfg mode
         if strict then raise (Stop_exec Depth_cut)
         else failwith "mc: replay diverged (event vanished)"
     | Kill inst -> Bus.crash_process bus ~instance:inst ~reason:"mc adversary"
-    | Ctlcrash -> Bus.arm_ctl_crash bus ~after:1
+    | Ctlcrash -> Control.arm_crash (Bus.control bus) ~after:1
     | Deliver | Drop | Dup -> failwith "mc: fault token at scheduler point"
   in
   let step_monitors () =

@@ -10,6 +10,7 @@
    adversary legitimately destroyed the message or the process. *)
 
 module Bus = Dr_bus.Bus
+module Control = Dr_bus.Control
 module Reliable = Dr_bus.Reliable
 module Trace = Dr_sim.Trace
 module Value = Dr_state.Value
@@ -285,16 +286,17 @@ let wal_consistent ~bus () =
     m_step = (fun () -> None);
     m_final =
       (fun fin ->
-        match Bus.wal bus with
+        let ctl = Bus.control bus in
+        match Control.wal ctl with
         | None -> None
         | Some wal -> (
           match Recovery.scan wal with
           | Error e -> violation name "journal scan failed: %s" e
-          | Ok scripts -> (
+          | Ok { Recovery.scripts; _ } -> (
             match Wal.check_invariants wal with
             | Error e -> violation name "WAL invariants violated: %s" e
             | Ok () ->
-              if Bus.controller_down bus then (
+              if Control.down ctl then (
                 match Recovery.replay bus with
                 | Error e -> violation name "recovery replay failed: %s" e
                 | Ok _ -> None)

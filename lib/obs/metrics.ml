@@ -115,11 +115,6 @@ let histogram_count t ?(labels = []) name =
   | Some h -> h.h_count
   | None -> 0
 
-let histogram_sum t ?(labels = []) name =
-  match Hashtbl.find_opt t.hists (name, canon labels) with
-  | Some h -> h.h_sum
-  | None -> 0.
-
 let histogram_buckets t ?(labels = []) name =
   match Hashtbl.find_opt t.hists (name, canon labels) with
   | None -> []

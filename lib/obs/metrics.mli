@@ -65,9 +65,6 @@ val gauge_value : t -> ?labels:labels -> string -> float option
 
 val histogram_count : t -> ?labels:labels -> string -> int
 
-val histogram_sum : t -> ?labels:labels -> string -> float
-(** 0 if the histogram has no observations. *)
-
 val histogram_buckets : t -> ?labels:labels -> string -> (int * int) list
 (** The log-2 buckets as [(exponent, count)] pairs sorted by exponent:
     bucket [e] counts observations [v] with [2^e <= v < 2^(e+1)];

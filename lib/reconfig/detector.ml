@@ -223,14 +223,12 @@ let rewatch t ~old_instance ~new_instance =
   t.roster_dirty <- true;
   arm t new_instance w ~due:(w.w_last_seen +. t.timeout)
 
-let start bus ?period ?timeout ?threshold ~watch:names () =
-  (* unspecified parameters come from the per-bus tunables
-     (Bus.set_detector_config), not compile-time constants: a rolling
-     canary window can widen the detector's patience fleet-wide *)
-  let cfg = Bus.detector_config bus in
-  let period = Option.value period ~default:cfg.Bus.dc_period in
-  let timeout = Option.value timeout ~default:cfg.Bus.dc_timeout in
-  let threshold = Option.value threshold ~default:cfg.Bus.dc_threshold in
+let start bus ?(period = 1.0) ?(timeout = 3.0) ?(threshold = 2) ~watch:names
+    () =
+  if period <= 0.0 then invalid_arg "Detector.start: period must be positive";
+  if timeout <= 0.0 then invalid_arg "Detector.start: timeout must be positive";
+  if threshold <= 0 then
+    invalid_arg "Detector.start: threshold must be positive";
   let t =
     { bus;
       period;

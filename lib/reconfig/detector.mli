@@ -26,12 +26,13 @@ val start :
   watch:string list ->
   unit ->
   t
-(** Begin watching. Parameters left unspecified default to the
-    {e per-bus} tunables ({!Dr_bus.Bus.set_detector_config}; period =
-    heartbeat/check tick, timeout = max silence before a tick counts
-    against the instance, threshold = silent ticks until suspected —
-    1.0 / 3.0 / 2 out of the box). Installs itself as the bus's single
-    activity hook. *)
+(** Begin watching. [period] is the heartbeat/check tick, [timeout] the
+    longest silence before a tick counts against an instance, and
+    [threshold] the silent ticks until it is suspected — 1.0 / 3.0 / 2
+    by default. A rolling-replacement canary that must not race the
+    detector widens them here. Raises [Invalid_argument] on a
+    non-positive value. Installs itself as the bus's single activity
+    hook. *)
 
 val stop : t -> unit
 (** Stop ticking and release the activity hook. *)

@@ -1,5 +1,5 @@
 module Bus = Dr_bus.Bus
-module Wal = Dr_wal.Wal
+module Control = Dr_bus.Control
 module Value = Dr_state.Value
 module Image = Dr_state.Image
 
@@ -25,54 +25,25 @@ type entry = Persist.entry =
 
 type t = {
   bus : Bus.t;
+  ctl : Control.t;
   label : string;
   sid : int;  (* 0 when the bus has no control log *)
   mutable entries : entry list;  (* newest first *)
 }
 
-(* checkpoint the control log once this much has accumulated and no
-   script is open (a checkpoint garbage-collects everything before it,
-   so an open script's records must never be behind one) *)
-let checkpoint_after = 64 * 1024
-
-(* Append one control record. Returns [true] when a log is attached —
-   the caller then places the controller-crash tick ([Bus.ctl_tick])
-   after the corresponding bus operation has applied, so a crash always
-   lands on a durable-record/applied-operation boundary and undo stays
-   exact. *)
-let log t record =
-  match Bus.wal t.bus with
-  | None -> false
-  | Some wal ->
-    ignore
-      (Wal.append wal ~kind:(Persist.kind_of record) (Persist.encode record)
-        : int);
-    true
-
-let maybe_checkpoint t =
-  match Bus.wal t.bus with
-  | Some wal
-    when Bus.ctl_scripts_open t.bus = 0
-         && Wal.bytes_since_checkpoint wal >= checkpoint_after ->
-    Wal.checkpoint wal
-  | _ -> ()
-
 let create bus ~label =
-  match Bus.wal bus with
-  | None -> { bus; label; sid = 0; entries = [] }
-  | Some _ ->
-    let sid = Bus.next_script_id bus in
-    let t = { bus; label; sid; entries = [] } in
-    ignore (log t (Persist.Begin { sid; label }) : bool);
-    Bus.ctl_script_opened bus;
-    Bus.ctl_tick bus;
-    t
+  let ctl = Bus.control bus in
+  let sid =
+    Control.open_script ctl Persist.codec (fun sid ->
+        Persist.Begin { sid; label })
+  in
+  { bus; ctl; label; sid; entries = [] }
 
 (* Recovery: rebuild a journal from entries read back off the log.
    Nothing is appended (the records are already durable) and the
-   open-script accounting is recovery's business, not ours. *)
+   checkpoint gate is recovery's business, not ours. *)
 let restore bus ~label ~sid ~entries =
-  { bus; label; sid; entries = List.rev entries }
+  { bus; ctl = Bus.control bus; label; sid; entries = List.rev entries }
 
 let entry_count t = List.length t.entries
 let label t = t.label
@@ -89,16 +60,20 @@ let record t fmt =
 
 (* ----------------------------------------------------------- primitives *)
 
-(* Each primitive follows the write-ahead discipline: the redo+undo
+(* Each primitive is one write-ahead step (Control.step): the redo+undo
    record is appended (durably) first, the bus operation applies
    second, and the crash tick runs last — so every logged record's
    operation has taken effect when a controller crash fires, and
-   recovery's undo of the logged prefix is exact. *)
-let logged_op t entry apply =
-  let logged = log t (Persist.Entry { sid = t.sid; entry }) in
-  apply ();
-  push t entry;
-  if logged then Bus.ctl_tick t.bus
+   recovery's undo of the logged prefix is exact. [as_logged] is the
+   entry as the log stores it, when that differs from the in-memory
+   undo entry. *)
+let logged_op ?as_logged t entry apply =
+  let logged = Option.value as_logged ~default:entry in
+  Control.step t.ctl Persist.codec
+    (Persist.Entry { sid = t.sid; entry = logged })
+    (fun () ->
+      apply ();
+      push t entry)
 
 let add_route t ~src ~dst =
   logged_op t (Added_route (src, dst)) (fun () -> Bus.add_route t.bus ~src ~dst)
@@ -124,9 +99,7 @@ let spawn t ~instance ~module_name ~host ?spec ?status () =
   match Bus.spawn t.bus ~instance ~module_name ~host ?spec ?status () with
   | Error _ as e -> e
   | Ok () ->
-    let logged = log t (Persist.Entry { sid = t.sid; entry = Spawned instance }) in
-    push t (Spawned instance);
-    if logged then Bus.ctl_tick t.bus;
+    logged_op t (Spawned instance) ignore;
     Ok ()
 
 let instance_queues bus ~instance ~ifaces =
@@ -175,17 +148,12 @@ let note_divulged ?delta t ~cap ~image =
      only the dirtied slots hit the wire as a DRIMGD1 container; the
      in-memory journal still holds the full image, so rollback never
      depends on delta resolution. *)
-  match delta with
-  | None -> logged_op t (Divulged { d_cap = cap; d_image = image }) (fun () -> ())
-  | Some d ->
-    let logged =
-      log t
-        (Persist.Entry
-           { sid = t.sid;
-             entry = Divulged_delta { dd_cap = cap; dd_delta = d } })
-    in
-    push t (Divulged { d_cap = cap; d_image = image });
-    if logged then Bus.ctl_tick t.bus
+  logged_op
+    ?as_logged:
+      (Option.map (fun d -> Divulged_delta { dd_cap = cap; dd_delta = d }) delta)
+    t
+    (Divulged { d_cap = cap; d_image = image })
+    ignore
 
 (* Deliberately a complete no-op (no journal entry, no bus call) when
    no transport is installed: on the classic fire-and-forget bus a
@@ -326,37 +294,25 @@ let resume_rollback t ~reason ~already_undone ~abort_logged =
     else
       record t "%s: resuming rollback at step %d/%d: %s" t.label
         (total - already_undone) total reason;
-    let logged =
-      if abort_logged then Option.is_some (Bus.wal t.bus)
-      else log t (Persist.Abort { sid = t.sid; reason })
-    in
-    if logged && not abort_logged then Bus.ctl_tick t.bus;
+    if not abort_logged then
+      Control.step t.ctl Persist.codec (Persist.Abort { sid = t.sid; reason })
+        ignore;
     let restored = Hashtbl.create 4 in
     List.iteri
       (fun j e ->
         let index = total - already_undone - j in
         let pfx = Printf.sprintf "%s [%d/%d]: " t.label index total in
+        (* the step is undone before its Undo_done record says so *)
         undo t ~pfx ~restored e;
-        if logged then begin
-          ignore (log t (Persist.Undo_done { sid = t.sid; index }) : bool);
-          Bus.ctl_tick t.bus
-        end)
+        Control.step t.ctl Persist.codec
+          (Persist.Undo_done { sid = t.sid; index })
+          ignore)
       remaining;
-    if logged then begin
-      ignore (log t (Persist.Abort_done { sid = t.sid }) : bool);
-      Bus.ctl_script_closed t.bus;
-      Bus.ctl_tick t.bus;
-      maybe_checkpoint t
-    end
+    Control.close_script t.ctl Persist.codec (Persist.Abort_done { sid = t.sid })
 
 let rollback t ~reason =
   resume_rollback t ~reason ~already_undone:0 ~abort_logged:false
 
 let commit t =
-  let logged = log t (Persist.Commit { sid = t.sid }) in
   t.entries <- [];
-  if logged then begin
-    Bus.ctl_script_closed t.bus;
-    Bus.ctl_tick t.bus;
-    maybe_checkpoint t
-  end
+  Control.close_script t.ctl Persist.codec (Persist.Commit { sid = t.sid })

@@ -19,11 +19,11 @@
     is appended durably {e before} the bus operation applies, scripts
     open with a [Begin] record and close with [Commit] or
     [Abort]/[Undo_done]*/[Abort_done], and divulged state images are
-    spilled into the log. After each record lands the journal runs the
-    controller-crash tick ({!Dr_bus.Bus.ctl_tick}), so an armed
-    [ctlcrash@N] fault kills the controller precisely between a durable
-    record and the next primitive; {!Recovery.replay} then finishes the
-    story. With no log attached every [Wal] interaction vanishes and
+    spilled into the log. Each record is one write-ahead step
+    ({!Dr_bus.Control.step}): append, apply, then the controller-crash
+    tick, so an armed [ctlcrash@N] fault kills the controller precisely
+    between a durable record and the next primitive;
+    {!Recovery.replay} then finishes the story. With no log attached every [Wal] interaction vanishes and
     behaviour is byte-identical to the in-memory journal. *)
 
 (** The undo record of one applied primitive ({!Persist.entry},

@@ -268,8 +268,6 @@ let kind_of = function
   | Wave_commit _ -> kind_wave_commit
   | Wave_abort _ -> kind_wave_abort
 
-let is_wave_kind kind = kind >= kind_wave_begin && kind <= kind_wave_abort
-
 let sid_of = function
   | Begin { sid; _ }
   | Entry { sid; _ }
@@ -305,6 +303,8 @@ let encode record =
     Wire.write_string buf wr_instance
   | Wave_abort { w_reason; _ } -> Wire.write_string buf w_reason);
   Buffer.to_bytes buf
+
+let codec = { Dr_bus.Control.kind = kind_of; encode }
 
 let decode ~kind body =
   Wire.guarded @@ fun () ->

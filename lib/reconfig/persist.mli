@@ -70,12 +70,11 @@ type record =
 val kind_of : record -> int
 (** The WAL record kind byte for this record. *)
 
-val is_wave_kind : int -> bool
-(** [true] for the four wave record kinds — {!Recovery.scan} skips
-    them (they are not part of the per-script grammar);
-    {!Rolling.recover} reads them. *)
-
 val encode : record -> bytes
+
+val codec : record Dr_bus.Control.codec
+(** {!kind_of} and {!encode}: how the reconfiguration layer's records
+    reach the control log through {!Dr_bus.Control.step}. *)
 
 val decode : kind:int -> bytes -> (record, string) result
 (** Inverse of {!encode} on the WAL's [(kind, body)] pair. Trailing

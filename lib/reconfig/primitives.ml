@@ -83,7 +83,8 @@ let translate_image bus ?for_instance ~src_host ~dst_host image =
       let native_src =
         match for_instance with
         | Some instance
-          when Dr_bus.Bus.consume_image_corruption bus ~instance ->
+          when Dr_bus.Control.consume_image_corruption (Dr_bus.Bus.control bus)
+                 ~instance ->
           let corrupted = Bytes.copy native_src in
           let pos = Bytes.length corrupted / 2 in
           Bytes.set corrupted pos

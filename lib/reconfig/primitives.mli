@@ -62,7 +62,7 @@ val translate_image :
     (src-native → abstract → dst-native), as a real heterogeneous
     migration would. Fails when a value cannot be represented on the
     destination architecture. With [?for_instance]: an armed
-    {!Dr_bus.Bus.arm_image_corruption} fault corrupts the native bytes
+    {!Dr_bus.Control.arm_image_corruption} fault corrupts the native bytes
     in flight (the codec's checksum catches it), and any translation
     failure quarantines the image against that instance. *)
 

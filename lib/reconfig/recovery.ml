@@ -1,4 +1,5 @@
 module Bus = Dr_bus.Bus
+module Control = Dr_bus.Control
 module Wal = Dr_wal.Wal
 
 type status =
@@ -14,7 +15,19 @@ type script = {
   sc_status : status;
 }
 
-(* mutable accumulator while walking the log *)
+type wave_status = Wave_committed | Wave_aborted of string | Wave_open
+
+type wave = {
+  wv_wid : int;
+  wv_target : string;
+  wv_group : (string * string) list;
+  wv_done : (string * string) list;
+  wv_status : wave_status;
+}
+
+type log = { records : int; scripts : script list; waves : wave list }
+
+(* mutable accumulators while walking the log *)
 type acc = {
   a_sid : int;
   a_label : string;
@@ -25,9 +38,20 @@ type acc = {
   mutable a_abort_done : bool;
 }
 
+type wacc = {
+  wa_wid : int;
+  wa_target : string;
+  wa_group : (string * string) list;
+  mutable wa_done : (string * string) list;  (* newest first *)
+  mutable wa_status : wave_status;
+}
+
 let scan wal =
   let scripts : (int, acc) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
+  let waves : (int, wacc) Hashtbl.t = Hashtbl.create 4 in
+  let wave_order = ref [] in
+  let records = ref 0 in
   (* pre-copy bases seen so far, keyed by image digest: a Divulged_delta
      is resolved to a full Divulged entry the moment it is read (its
      base always precedes it in log order), so everything downstream of
@@ -59,20 +83,21 @@ let scan wal =
     | None -> fail "lsn %d: %s for unknown script #%d" lsn what sid
   in
   let terminated a = a.a_committed || a.a_abort_done in
+  let open_wave ~what lsn wid =
+    match Hashtbl.find_opt waves wid with
+    | None -> fail "lsn %d: %s for unknown wave #%d" lsn what wid
+    | Some a when a.wa_status <> Wave_open ->
+      fail "lsn %d: %s of finished wave #%d" lsn what wid
+    | Some a -> a
+  in
   try
     List.iter
       (fun (lsn, kind, body) ->
-        (* wave records share the log but not the per-script grammar;
-           they are Rolling.waves's concern *)
-        if Persist.is_wave_kind kind then ()
-        else
+        incr records;
         match Persist.decode ~kind body with
         | Error e -> fail "lsn %d: %s" lsn e
         | Ok record -> (
           match record with
-          | Persist.Wave_begin _ | Persist.Wave_replica_done _
-          | Persist.Wave_commit _ | Persist.Wave_abort _ ->
-            assert false (* filtered by kind above *)
           | Persist.Begin { sid; label } ->
             if Hashtbl.mem scripts sid then
               fail "lsn %d: duplicate begin for script #%d" lsn sid;
@@ -119,104 +144,57 @@ let scan wal =
               fail "lsn %d: abort-done after terminator for script #%d" lsn sid;
             if Option.is_none a.a_abort then
               fail "lsn %d: abort-done outside rollback of script #%d" lsn sid;
-            a.a_abort_done <- true))
-      (Wal.records wal);
-    Ok
-      (List.rev_map
-         (fun sid ->
-           let a = Hashtbl.find scripts sid in
-           { sc_sid = a.a_sid;
-             sc_label = a.a_label;
-             sc_entries = List.rev a.a_entries;
-             sc_status =
-               (if a.a_committed then Committed
-                else
-                  match a.a_abort with
-                  | None -> In_flight
-                  | Some reason ->
-                    if a.a_abort_done then Aborted
-                    else Rolling_back { undone = a.a_undone; reason }) })
-         !order)
-  with
-  | Failure e -> Error e
-  | Invalid_argument e -> Error e (* Wal.records on a damaged log *)
-
-(* ------------------------------------------------------------- waves *)
-
-type wave_status = Wave_committed | Wave_aborted of string | Wave_open
-
-type wave = {
-  wv_wid : int;
-  wv_target : string;
-  wv_group : (string * string) list;
-  wv_done : (string * string) list;
-  wv_status : wave_status;
-}
-
-type wacc = {
-  wa_wid : int;
-  wa_target : string;
-  wa_group : (string * string) list;
-  mutable wa_done : (string * string) list;  (* newest first *)
-  mutable wa_status : wave_status;
-}
-
-let waves wal =
-  let tbl : (int, wacc) Hashtbl.t = Hashtbl.create 4 in
-  let order = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> failwith s) fmt in
-  let lookup ~what lsn wid =
-    match Hashtbl.find_opt tbl wid with
-    | Some a -> a
-    | None -> fail "lsn %d: %s for unknown wave #%d" lsn what wid
-  in
-  try
-    List.iter
-      (fun (lsn, kind, body) ->
-        if not (Persist.is_wave_kind kind) then ()
-        else
-          match Persist.decode ~kind body with
-          | Error e -> fail "lsn %d: %s" lsn e
-          | Ok (Persist.Wave_begin { wid; w_group; w_target }) ->
-            if Hashtbl.mem tbl wid then
+            a.a_abort_done <- true
+          | Persist.Wave_begin { wid; w_group; w_target } ->
+            if Hashtbl.mem waves wid then
               fail "lsn %d: duplicate begin for wave #%d" lsn wid;
-            Hashtbl.replace tbl wid
+            Hashtbl.replace waves wid
               { wa_wid = wid; wa_target = w_target; wa_group = w_group;
                 wa_done = []; wa_status = Wave_open };
-            order := wid :: !order
-          | Ok (Persist.Wave_replica_done { wid; wr_slot; wr_instance }) ->
-            let a = lookup ~what:"replica-done" lsn wid in
-            if a.wa_status <> Wave_open then
-              fail "lsn %d: replica-done after terminator for wave #%d" lsn wid;
+            wave_order := wid :: !wave_order
+          | Persist.Wave_replica_done { wid; wr_slot; wr_instance } ->
+            let a = open_wave ~what:"replica-done" lsn wid in
             if not (List.mem_assoc wr_slot a.wa_group) then
               fail "lsn %d: replica-done for unknown slot %s of wave #%d" lsn
                 wr_slot wid;
             a.wa_done <- (wr_slot, wr_instance) :: a.wa_done
-          | Ok (Persist.Wave_commit { wid }) ->
-            let a = lookup ~what:"commit" lsn wid in
-            if a.wa_status <> Wave_open then
-              fail "lsn %d: commit of finished wave #%d" lsn wid;
-            a.wa_status <- Wave_committed
-          | Ok (Persist.Wave_abort { wid; w_reason }) ->
-            let a = lookup ~what:"abort" lsn wid in
-            if a.wa_status <> Wave_open then
-              fail "lsn %d: abort of finished wave #%d" lsn wid;
-            a.wa_status <- Wave_aborted w_reason
-          | Ok _ -> assert false (* is_wave_kind filtered *))
+          | Persist.Wave_commit { wid } ->
+            (open_wave ~what:"commit" lsn wid).wa_status <- Wave_committed
+          | Persist.Wave_abort { wid; w_reason } ->
+            (open_wave ~what:"abort" lsn wid).wa_status <-
+              Wave_aborted w_reason))
       (Wal.records wal);
     Ok
-      (List.rev_map
-         (fun wid ->
-           let a = Hashtbl.find tbl wid in
-           { wv_wid = a.wa_wid;
-             wv_target = a.wa_target;
-             wv_group = a.wa_group;
-             wv_done = List.rev a.wa_done;
-             wv_status = a.wa_status })
-         !order)
+      { records = !records;
+        scripts =
+          List.rev_map
+            (fun sid ->
+              let a = Hashtbl.find scripts sid in
+              { sc_sid = a.a_sid;
+                sc_label = a.a_label;
+                sc_entries = List.rev a.a_entries;
+                sc_status =
+                  (if a.a_committed then Committed
+                   else
+                     match a.a_abort with
+                     | None -> In_flight
+                     | Some reason ->
+                       if a.a_abort_done then Aborted
+                       else Rolling_back { undone = a.a_undone; reason }) })
+            !order;
+        waves =
+          List.rev_map
+            (fun wid ->
+              let a = Hashtbl.find waves wid in
+              { wv_wid = a.wa_wid;
+                wv_target = a.wa_target;
+                wv_group = a.wa_group;
+                wv_done = List.rev a.wa_done;
+                wv_status = a.wa_status })
+            !wave_order }
   with
   | Failure e -> Error e
-  | Invalid_argument e -> Error e
+  | Invalid_argument e -> Error e (* Wal.records on a damaged log *)
 
 type report = {
   rp_records : int;
@@ -225,6 +203,7 @@ type report = {
   rp_aborted : int;
   rp_rolled_back : int;
   rp_resumed : int;
+  rp_waves : wave list;
 }
 
 let record bus fmt =
@@ -235,15 +214,17 @@ let record bus fmt =
     fmt
 
 let replay bus =
-  match Bus.wal bus with
+  let ctl = Bus.control bus in
+  match Control.wal ctl with
   | None -> Error "no control log attached to this bus"
   | Some wal -> (
     match scan wal with
     | Error _ as e -> e
-    | Ok scripts ->
-      let rp_records = List.length (Wal.records wal) in
-      Bus.recover_controller bus;
-      List.iter (fun s -> Bus.note_script_id bus s.sc_sid) scripts;
+    | Ok { records = rp_records; scripts; waves } ->
+      Control.recover ctl;
+      (* scripts and waves share one id space; keep it monotonic *)
+      List.iter (fun s -> Control.note_id ctl s.sc_sid) scripts;
+      List.iter (fun w -> Control.note_id ctl w.wv_wid) waves;
       let count p = List.length (List.filter p scripts) in
       let pending =
         (* newest first: concurrent scripts unwind LIFO, mirroring how a
@@ -263,7 +244,7 @@ let replay bus =
       (* account the scripts we are about to unwind as open, so the
          checkpoint policy cannot garbage-collect one script's records
          while a sibling is still mid-rollback *)
-      List.iter (fun _ -> Bus.ctl_script_opened bus) pending;
+      List.iter (fun _ -> Control.hold ctl) pending;
       let rolled = ref 0 and resumed = ref 0 in
       List.iter
         (fun s ->
@@ -290,7 +271,8 @@ let replay bus =
           rp_committed = count (fun s -> s.sc_status = Committed);
           rp_aborted = count (fun s -> s.sc_status = Aborted);
           rp_rolled_back = !rolled;
-          rp_resumed = !resumed })
+          rp_resumed = !resumed;
+          rp_waves = waves })
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -2,7 +2,7 @@
     control log and finish what the dead controller started.
 
     The crash model is the controller's, not the fleet's: an armed
-    [ctlcrash@N] fault ({!Dr_bus.Bus.arm_ctl_crash}) kills the
+    [ctlcrash@N] fault ({!Dr_bus.Control.arm_crash}) kills the
     controller between a durable control record and the next journalled
     primitive, while the application modules keep running. {!replay}
     reads the durable records back ({!Dr_wal.Wal.records}), restarts
@@ -31,18 +31,8 @@ type script = {
   sc_status : status;
 }
 
-val scan : Dr_wal.Wal.t -> (script list, string) result
-(** Decode and validate the durable control records from the checkpoint
-    on, grouped per script in first-[Begin] order. Fails loudly — never
-    guesses — on a record that does not decode, a record for an unknown
-    script id, an entry after a terminator, an [Undo_done] out of
-    sequence, or a duplicate [Begin]. Wave records
-    ({!Persist.is_wave_kind}) are skipped — see {!waves}. *)
-
-(** {1 Rolling waves}
-
-    The wave records a {!Rolling} controller logs around its per-replica
-    scripts. They share the WAL but form their own, coarser grammar. *)
+(** The wave records a {!Rolling} controller logs around its per-replica
+    scripts share the WAL but form their own, coarser grammar. *)
 
 type wave_status =
   | Wave_committed
@@ -60,11 +50,18 @@ type wave = {
   wv_status : wave_status;
 }
 
-val waves : Dr_wal.Wal.t -> (wave list, string) result
-(** Decode and validate the wave records from the checkpoint on, in
-    begin order. Call {e before} {!replay} — replay ends by
-    checkpointing the log, which garbage-collects wave records along
-    with everything else. *)
+type log = {
+  records : int;  (** live records read *)
+  scripts : script list;  (** in first-[Begin] order *)
+  waves : wave list;  (** in [Wave_begin] order *)
+}
+
+val scan : Dr_wal.Wal.t -> (log, string) result
+(** Decode and validate the durable control records from the checkpoint
+    on, in one pass: per-script and per-wave. Fails loudly — never
+    guesses — on a record that does not decode, a record for an unknown
+    script or wave id, an entry after a terminator, an [Undo_done] out
+    of sequence, or a duplicate [Begin]. *)
 
 type report = {
   rp_records : int;  (** control records replayed *)
@@ -73,12 +70,16 @@ type report = {
   rp_aborted : int;  (** rollbacks already complete on the log *)
   rp_rolled_back : int;  (** in-flight scripts rolled back by replay *)
   rp_resumed : int;  (** mid-rollback scripts resumed by replay *)
+  rp_waves : wave list;  (** the waves on the replayed log *)
 }
 
 val replay : Dr_bus.Bus.t -> (report, string) result
 (** Recover the controller of [bus] from its attached control log
-    ({!Dr_bus.Bus.set_wal} must have been called). Idempotent: a log
-    with no unterminated scripts recovers to a no-op. [Error] when no
+    ({!Dr_bus.Bus.set_wal} must have been called): start the next
+    controller incarnation, advance the id space past every script and
+    wave on the log, unwind the unterminated scripts, and checkpoint.
+    Idempotent: a log with no unterminated scripts recovers to a
+    no-op. [Error] when no
     log is attached or {!scan} rejects the log. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -10,15 +10,16 @@
    Wave durability rides the same WAL as the per-replica scripts, as a
    second, coarser grammar (Wave_begin / Wave_replica_done /
    Wave_commit / Wave_abort). The wave holds the control log's
-   checkpoint gate (Bus.ctl_script_opened) for its whole duration so
-   the undo images its per-replica scripts journalled cannot be
-   garbage-collected while a later canary failure might still need the
-   roster they describe. *)
+   checkpoint gate (Control.hold) for its whole duration so the undo
+   images its per-replica scripts journalled cannot be garbage-collected
+   while a later canary failure might still need the roster they
+   describe. Every wave step runs under the controller incarnation the
+   wave started in, and stops once that incarnation has crashed. *)
 
 module Bus = Dr_bus.Bus
+module Control = Dr_bus.Control
 module Engine = Dr_sim.Engine
 module Metrics = Dr_obs.Metrics
-module Wal = Dr_wal.Wal
 module Spec = Dr_mil.Spec
 
 type slo = {
@@ -77,6 +78,8 @@ type report = {
 
 type t = {
   bus : Bus.t;
+  ctl : Control.t;
+  inc : int;  (* the controller incarnation running this wave *)
   cfg : config;
   wid : int;
   metrics : Metrics.t;
@@ -103,18 +106,11 @@ let ensure_metrics bus =
     Bus.set_metrics bus m;
     m
 
-(* -------------------------------------------------------- wave logging *)
-
-let log_wave t rec_ =
-  if not (Bus.controller_down t.bus) then
-    match Bus.wal t.bus with
-    | None -> ()
-    | Some wal ->
-      ignore
-        (Wal.append wal ~kind:(Persist.kind_of rec_) (Persist.encode rec_));
-      (* a ctlcrash@N fault can land on a wave record just like on a
-         script record; ctl_down is set before the raise *)
-      (try Bus.ctl_tick t.bus with Bus.Controller_crash -> ())
+(* A ctlcrash@N fault can land on a wave record just like on a script
+   record; [Control.note] absorbs it and the wave stops at its next
+   liveness check. *)
+let live t = Control.live t.ctl t.inc
+let note t r = ignore (Control.note t.ctl ~inc:t.inc Persist.codec r : bool)
 
 (* ----------------------------------------------------------- plumbing *)
 
@@ -259,7 +255,7 @@ let canary t ~slot =
   let base = t.cfg.rc_canary_window in
   let rec hold extension =
     drive t ~until:(Bus.now t.bus +. base);
-    if Bus.controller_down t.bus then Error "controller crashed"
+    if not (live t) then Error "controller crashed"
     else
       let after = snap t ~slot in
       if
@@ -324,7 +320,7 @@ let upgrade_slot t ~slot =
   let origin = Hashtbl.find t.origins slot in
   let rollbacks = ref 0 in
   let rec attempt a =
-    if Bus.controller_down t.bus then Slot_ctl_down
+    if not (live t) then Slot_ctl_down
     else begin
       record t "slot %s: attempt %d of %d" slot a t.cfg.rc_retries;
       let inst = drain t ~slot in
@@ -350,24 +346,24 @@ let upgrade_slot t ~slot =
         end
       in
       match replace_to t ~slot ~instance:inst ~target:t.cfg.rc_target with
-      | exception Bus.Controller_crash -> Slot_ctl_down
+      | exception Control.Controller_crash -> Slot_ctl_down
       | Error e ->
-        if Bus.controller_down t.bus then Slot_ctl_down else fail e
+        if not (live t) then Slot_ctl_down else fail e
       | Ok canary_inst -> (
         record t "slot %s: canary %s holding for %g" slot canary_inst
           t.cfg.rc_canary_window;
         match canary t ~slot with
-        | Error reason when Bus.controller_down t.bus ->
-          ignore reason;
-          Slot_ctl_down
+        | Error _ when not (live t) -> Slot_ctl_down
         | Ok samples ->
           Metrics.incr t.metrics ~labels:[ ("slot", slot) ] "rolling.upgrades";
           record t "slot %s: canary passed (%d sample(s)), now %s" slot
             samples canary_inst;
-          log_wave t
-            (Persist.Wave_replica_done
-               { wid = t.wid; wr_slot = slot; wr_instance = canary_inst });
-          if Bus.controller_down t.bus then Slot_ctl_down
+          if
+            not
+              (Control.note t.ctl ~inc:t.inc Persist.codec
+                 (Persist.Wave_replica_done
+                    { wid = t.wid; wr_slot = slot; wr_instance = canary_inst }))
+          then Slot_ctl_down
           else
             Slot_upgraded
               { rr_slot = slot; rr_from = from; rr_attempts = a;
@@ -385,10 +381,10 @@ let upgrade_slot t ~slot =
           let inst = await_restart t ~slot ~inst in
           Bus.clear_draining t.bus ~instance:inst;
           match replace_to t ~slot ~instance:inst ~target:origin with
-          | exception Bus.Controller_crash -> Slot_ctl_down
+          | exception Control.Controller_crash -> Slot_ctl_down
           | Ok _ -> fail reason
           | Error e ->
-            if Bus.controller_down t.bus then Slot_ctl_down
+            if not (live t) then Slot_ctl_down
             else fail (Printf.sprintf "%s; rollback also failed: %s" reason e)))
     end
   in
@@ -410,7 +406,7 @@ let unwind t ~upgraded =
       | Error e ->
         record t "slot %s: unwind failed: %s" slot e;
         n
-      | exception Bus.Controller_crash -> n)
+      | exception Control.Controller_crash -> n)
     0 (List.rev upgraded)
 
 (* --------------------------------------------------------------- wave *)
@@ -429,7 +425,8 @@ let run bus cfg ~group ?supervisor ?on_retarget () =
   match validate cfg ~group with
   | Error _ as e -> e |> Result.map (fun _ -> assert false)
   | Ok () ->
-    if Bus.controller_down bus then Error "controller is down"
+    let ctl = Bus.control bus in
+    if Control.down ctl then Error "controller is down"
     else if not (List.mem cfg.rc_target (Bus.registered_modules bus)) then
       Error
         (Printf.sprintf "target module %s is not registered with the bus"
@@ -445,9 +442,9 @@ let run bus cfg ~group ?supervisor ?on_retarget () =
       | (slot, inst) :: _ ->
         Error (Printf.sprintf "slot %s: unknown instance %s" slot inst)
       | [] ->
-        let wid = Bus.next_script_id bus in
+        let wid = Control.fresh_id ctl in
         let t =
-          { bus; cfg; wid;
+          { bus; ctl; inc = Control.incarnation ctl; cfg; wid;
             metrics = ensure_metrics bus;
             slots = Array.of_list (List.map fst group);
             members = Hashtbl.create 8;
@@ -465,17 +462,17 @@ let run bus cfg ~group ?supervisor ?on_retarget () =
         Bus.set_drain_group bus ~members:(current_members t);
         record t "wave #%d: %d slot(s) -> %s" wid (Array.length t.slots)
           cfg.rc_target;
-        log_wave t
+        note t
           (Persist.Wave_begin { wid; w_group = group; w_target = cfg.rc_target });
-        Bus.ctl_script_opened bus;
+        Control.hold ctl;
         let finish result =
-          Bus.ctl_script_closed bus;
+          Control.release ctl;
           List.iter
             (fun inst -> Bus.clear_draining bus ~instance:inst)
             (Bus.draining_instances bus);
           result
         in
-        if Bus.controller_down bus then
+        if not (live t) then
           finish (Error "controller crashed mid-wave (run Rolling.recover)")
         else begin
           let upgraded = ref [] in
@@ -498,12 +495,12 @@ let run bus cfg ~group ?supervisor ?on_retarget () =
             | Slot_ctl_down -> abort := Some "ctl-down");
             incr i
           done;
-          if Bus.controller_down bus then
+          if not (live t) then
             finish (Error "controller crashed mid-wave (run Rolling.recover)")
           else
             match !abort with
             | None ->
-              log_wave t (Persist.Wave_commit { wid });
+              note t (Persist.Wave_commit { wid });
               record t "wave #%d committed" wid;
               finish
                 (Ok
@@ -511,10 +508,10 @@ let run bus cfg ~group ?supervisor ?on_retarget () =
                      rp_committed = true; rp_reason = None;
                      rp_replicas = List.rev !reports; rp_unwound = 0 })
             | Some reason ->
-              log_wave t (Persist.Wave_abort { wid; w_reason = reason });
+              note t (Persist.Wave_abort { wid; w_reason = reason });
               record t "wave #%d aborting: %s" wid reason;
               let unwound = unwind t ~upgraded:!upgraded in
-              if Bus.controller_down bus then
+              if not (live t) then
                 finish
                   (Error "controller crashed mid-wave (run Rolling.recover)")
               else begin
@@ -542,27 +539,15 @@ let run bus cfg ~group ?supervisor ?on_retarget () =
 (* ----------------------------------------------------------- recovery *)
 
 let recover bus =
-  match Bus.wal bus with
-  | None -> Error "no control log attached to this bus"
-  | Some wal -> (
-    (* scan the wave records BEFORE replay: replay ends by
-       checkpointing the log, which garbage-collects them *)
-    match Recovery.waves wal with
-    | Error _ as e -> e |> Result.map (fun _ -> assert false)
-    | Ok waves -> (
-      match Recovery.replay bus with
-      | Error _ as e -> e |> Result.map (fun _ -> assert false)
-      | Ok report ->
-        (* drain marks are controller memory, not fleet state: a dead
-           controller must not keep shedding a healthy member *)
-        List.iter
-          (fun inst -> Bus.clear_draining bus ~instance:inst)
-          (Bus.draining_instances bus);
-        (* wave ids share the script id space; keep it monotonic *)
-        List.iter
-          (fun (w : Recovery.wave) -> Bus.note_script_id bus w.wv_wid)
-          waves;
-        Ok (report, waves)))
+  match Recovery.replay bus with
+  | Error _ as e -> e
+  | Ok report ->
+    (* drain marks are controller memory, not fleet state: a dead
+       controller must not keep shedding a healthy member *)
+    List.iter
+      (fun inst -> Bus.clear_draining bus ~instance:inst)
+      (Bus.draining_instances bus);
+    Ok report
 
 let pp_report ppf r =
   Format.fprintf ppf "wave #%d -> %s: %s" r.rp_wid r.rp_target

@@ -147,13 +147,12 @@ val run :
     failures and aborted waves are reported through [Ok] with
     [rp_committed = false]. *)
 
-val recover : Dr_bus.Bus.t -> (Recovery.report * Recovery.wave list, string) result
-(** Crash recovery for a bus whose controller died mid-wave. Scans the
-    wave records {e before} {!Recovery.replay} checkpoints them away,
-    clears leftover drain marks, replays the per-replica scripts, and
-    re-registers wave ids with the controller's id allocator. The
-    returned waves tell the caller which slots the open wave (if any)
-    had already upgraded — the roster holds there; re-rolling is the
-    caller's decision. *)
+val recover : Dr_bus.Bus.t -> (Recovery.report, string) result
+(** Crash recovery for a bus whose controller died mid-wave:
+    {!Recovery.replay} (which rolls the per-replica scripts back and
+    reads the wave records in the same pass), then clear leftover drain
+    marks. The report's [rp_waves] tell the caller which slots the open
+    wave (if any) had already upgraded — the roster holds there;
+    re-rolling is the caller's decision. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,5 +1,6 @@
 module P = Primitives
 module Bus = Dr_bus.Bus
+module Control = Dr_bus.Control
 module Image = Dr_state.Image
 module Codec = Dr_state.Codec
 module Metrics = Dr_obs.Metrics
@@ -167,7 +168,13 @@ let rebind_batch (cap : P.module_cap) ~new_instance =
 let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
     ~new_instance ?new_module ?new_host ?deadline ?(retry = no_retry) ~on_done
     () =
+  let ctl = Bus.control bus in
   let rec attempt n ~host_override =
+    (* every continuation of this attempt — retry, divulge, pre-copy
+       hook, deadline — runs only while the controller incarnation that
+       started it lives: a crashed controller's continuations stay
+       silent, also once recovery has started the next incarnation *)
+    let inc = Control.incarnation ctl in
     let finish outcome =
       match outcome with
       | Ok _ -> on_done outcome
@@ -189,9 +196,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
           (Bus.engine bus)
           ~delay:(Float.max 0.0 retry.backoff)
           (fun () ->
-            (* a retry scheduled before the controller died must not run
-               as a ghost of it *)
-            if not (Bus.controller_down bus) then
+            if Control.live ctl inc then
               attempt (n + 1) ~host_override:next_host)
       | Error _ -> on_done outcome
     in
@@ -251,11 +256,11 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
         (* A crash during the deadline rollback unwinds out of the
            journal append before [conclude] can settle the script, so
            [settled] alone cannot fence this continuation: without the
-           controller-down check the armed divulge would later drive
-           the forward path of a journal that is mid-rollback (found by
-           the model checker: single-replace-crash, wal-consistent). *)
+           incarnation check the armed divulge would later drive the
+           forward path of a journal that is mid-rollback (found by the
+           model checker: single-replace-crash, wal-consistent). *)
         if !settled then ()
-        else if Bus.controller_down bus then
+        else if not (Control.live ctl inc) then
           record bus "replace %s: divulge ignored: controller is down"
             instance
         else
@@ -421,7 +426,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                 Journal.commit j;
                 record bus "replace %s -> %s complete" instance new_instance;
                 conclude (Ok new_instance)))
-          with Bus.Controller_crash ->
+          with Control.Controller_crash ->
             (* the callback runs inside the target's own quantum; a
                crash armed on one of the divulge's journal appends must
                kill the script, not the bystander machine *)
@@ -445,7 +450,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
            Machine.set_point_hook m
              (Some
                 (fun () ->
-                  if (not !settled) && not (Bus.controller_down bus) then
+                  if (not !settled) && Control.live ctl inc then
                     (* the hook runs inside the target's own quantum; a
                        controller crash armed on the journal record must
                        kill the script, not the bystander machine *)
@@ -463,7 +468,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                           (Image.byte_size base)
                       | None -> ());
                       engage ()
-                    with Bus.Controller_crash -> ())));
+                    with Control.Controller_crash -> ())));
       match deadline with
       | None -> ()
       | Some window ->
@@ -478,7 +483,7 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                ~info:(Printf.sprintf "replace %s: deadline" instance)
                "ctl")
           (Bus.engine bus) ~delay:window (fun () ->
-            if (not !settled) && not (Bus.controller_down bus) then begin
+            if (not !settled) && Control.live ctl inc then begin
               record bus "replace %s: deadline (%.1f) expired before divulge"
                 instance window;
               disarm_hook ();
@@ -511,11 +516,17 @@ let replicate bus ~instance ~replica_instance ?replica_host ~on_done () =
             ("module", cap0.cap_module); ("src_host", cap0.cap_host);
             ("dst_host", replica_host) ]
     in
+    let ctl = Bus.control bus in
+    let inc = Control.incarnation ctl in
     let j =
       Journal.create bus
         ~label:(Printf.sprintf "replicate %s -> %s" instance replica_instance)
     in
     Journal.arm_divulge j ~instance (fun image ->
+        if not (Control.live ctl inc) then
+          record bus "replicate %s: divulge ignored: controller is down"
+            instance
+        else
         let old_machine = Bus.machine bus ~instance in
         (* re-snapshot: bindings may have changed while waiting *)
         match P.obj_cap bus ~instance with
@@ -711,7 +722,7 @@ let run_sync bus ?(max_events = 1_000_000) ?deadline ?watch script =
      treat it exactly like a crash inside an event — the fleet keeps
      running, the script just never completes *)
   (try script ~on_done:(fun r -> result := Some r)
-   with Bus.Controller_crash -> ());
+   with Control.Controller_crash -> ());
   (* a watched instance that crashes, halts or disappears before the
      script completes can never comply with the reconfiguration signal;
      fail fast instead of spinning the event budget on the other
@@ -735,12 +746,12 @@ let run_sync bus ?(max_events = 1_000_000) ?deadline ?watch script =
       Option.is_none !result
       && (not (doomed ()))
       && (not (expired ()))
-      && not (Bus.controller_down bus));
+      && not (Control.down (Bus.control bus)));
   match !result with
   | Some r -> r
   | None -> (
     match watch with
-    | _ when Bus.controller_down bus ->
+    | _ when Control.down (Bus.control bus) ->
       Error "the controller crashed before the reconfiguration completed"
     | Some instance when doomed () ->
       Error

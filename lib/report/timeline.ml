@@ -13,13 +13,11 @@ let default_events =
    L — injected message loss at the sending instance
    B — instance brought back by a rollback *)
 let marker_of_entry (e : Trace.entry) instance =
-  let starts prefix =
-    let d = e.detail in
-    String.length d >= String.length prefix
-    && String.equal (String.sub d 0 (String.length prefix)) prefix
-  in
+  let starts prefix = String.starts_with ~prefix e.detail in
   (* instance names can be prefixes of each other (compute, compute'):
-     where the name ends the detail, require exact equality *)
+     where the name ends the detail, require exact equality — or, for
+     journal undo lines, which carry a "<label> [i/n]: " prefix, a
+     suffix that starts before the name *)
   match e.category with
   | "signal" when String.equal e.detail ("reconfiguration signal -> " ^ instance)
     ->
@@ -30,7 +28,8 @@ let marker_of_entry (e : Trace.entry) instance =
     Some 'R'
   | "crash" when starts (instance ^ " crashed") -> Some 'X'
   | "fault" when starts ("injected loss: " ^ instance ^ ".") -> Some 'L'
-  | "rollback" when String.equal e.detail ("restored instance " ^ instance) ->
+  | "rollback"
+    when String.ends_with ~suffix:("restored instance " ^ instance) e.detail ->
     Some 'B'
   | _ -> None
 

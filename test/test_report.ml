@@ -73,6 +73,49 @@ let test_no_cross_instance_marker_bleed () =
        contains bar_part "R")
   | None -> Alcotest.fail "no compute lane"
 
+(* the bar of a lane: the 60 (default width) columns starting under the
+   header's "t=0" — the annotation after it names hosts, and "hostB"
+   holds a B *)
+let bar_of rendered lane =
+  let header = List.hd (String.split_on_char '\n' rendered) in
+  let rec col i = if String.sub header i 3 = "t=0" then i else col (i + 1) in
+  String.sub lane (col 0) 60
+
+let test_rollback_marker () =
+  (* the first capture is corrupted in flight, so the first attempt
+     rolls back and restores compute; the retry then migrates it. The
+     journal's undo line carries a "<label> [i/n]: " prefix, and the
+     B must still land on compute's lane — and not bleed onto
+     compute2's *)
+  let system = Dr_workloads.Monitor.load () in
+  let bus = Dr_workloads.Monitor.start system in
+  (match Dr_bus.Faults.parse_plan "corrupt=compute@1" with
+  | Ok (seed, plan) -> Dr_bus.Faults.install bus ~seed plan
+  | Error e -> Alcotest.fail e);
+  Bus.run ~until:12.0 bus;
+  (match
+     Dynrecon.System.migrate bus
+       ~retry:
+         { Dr_reconfig.Script.attempts = 2; backoff = 1.0; alt_hosts = [] }
+       ~instance:"compute" ~new_instance:"compute2" ~new_host:"hostB"
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "migrate: %s" e);
+  Bus.run ~until:(Bus.now bus +. 20.0) bus;
+  let rendered = Timeline.render bus in
+  Alcotest.(check bool) "the rollback restored compute" true
+    (contains rendered "[2/2]: restored instance compute");
+  (match lane_of rendered "compute " with
+  | Some lane ->
+    Alcotest.(check bool) "B on compute's lane" true
+      (contains (bar_of rendered lane) "B")
+  | None -> Alcotest.fail "no compute lane");
+  match lane_of rendered "compute2" with
+  | Some lane ->
+    Alcotest.(check bool) "no B on compute2's lane" false
+      (contains (bar_of rendered lane) "B")
+  | None -> Alcotest.fail "no compute2 lane"
+
 let test_empty_bus () =
   let bus = Bus.create ~hosts:Dr_workloads.Monitor.hosts () in
   let rendered = Timeline.render bus in
@@ -102,4 +145,5 @@ let () =
           Alcotest.test_case "no marker bleed" `Quick
             test_no_cross_instance_marker_bleed;
           Alcotest.test_case "empty bus" `Quick test_empty_bus;
-          Alcotest.test_case "crash marker" `Quick test_crash_marker ] ) ]
+          Alcotest.test_case "crash marker" `Quick test_crash_marker;
+          Alcotest.test_case "rollback marker" `Quick test_rollback_marker ] ) ]

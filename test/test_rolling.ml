@@ -1,12 +1,13 @@
 (* Rolling replacement: drain-aware routing, the autonomic wave
-   controller, its WAL wave records, and the per-bus detector tunables
-   it depends on.
+   controller, its WAL wave records, and the detector tunables it
+   depends on.
 
    The acceptance signal throughout is the load generator's
    exactly-once-or-shed accounting: every request is answered exactly
    once or explicitly shed, whatever the wave does. *)
 
 module Bus = Dr_bus.Bus
+module Control = Dr_bus.Control
 module Faults = Dr_bus.Faults
 module Detector = Dr_reconfig.Detector
 module Supervisor = Dr_reconfig.Supervisor
@@ -68,34 +69,48 @@ let finish bus lg =
 
 let test_detector_config_validation () =
   let bus = Kv.Replica.start ~n:2 (Kv.Replica.load ~n:2) in
-  let check_rejected name cfg =
-    match Bus.set_detector_config bus cfg with
+  let check_rejected name start =
+    match start () with
     | exception Invalid_argument _ -> ()
-    | () -> Alcotest.failf "%s accepted" name
+    | (_ : Detector.t) -> Alcotest.failf "%s accepted" name
   in
-  let d = Bus.default_detector_config in
-  check_rejected "zero period" { d with Bus.dc_period = 0.0 };
-  check_rejected "negative timeout" { d with Bus.dc_timeout = -1.0 };
-  check_rejected "zero threshold" { d with Bus.dc_threshold = 0 };
-  let custom = { Bus.dc_period = 0.5; dc_timeout = 2.0; dc_threshold = 3 } in
-  Bus.set_detector_config bus custom;
-  Alcotest.(check bool) "round-trips" true (Bus.detector_config bus = custom)
+  check_rejected "zero period" (fun () ->
+      Detector.start bus ~period:0.0 ~watch:[ "s1" ] ());
+  check_rejected "negative timeout" (fun () ->
+      Detector.start bus ~timeout:(-1.0) ~watch:[ "s1" ] ());
+  check_rejected "zero threshold" (fun () ->
+      Detector.start bus ~threshold:0 ~watch:[ "s1" ] ());
+  let d =
+    Detector.start bus ~period:0.5 ~timeout:2.0 ~threshold:3 ~watch:[ "s1" ]
+      ()
+  in
+  Alcotest.(check (list string)) "custom accepted" [ "s1" ] (Detector.watched d);
+  Detector.stop d
 
-let test_detector_uses_bus_config () =
+(* Beats and checks a detector performs over 10 units on a fresh group. *)
+let detector_activity start =
   let bus = Kv.Replica.start ~n:2 (Kv.Replica.load ~n:2) in
-  (* halve the heartbeat period on the bus; an unparameterised detector
-     must pick it up and emit twice the beats *)
-  Bus.set_detector_config bus
-    { Bus.default_detector_config with Bus.dc_period = 0.5 };
-  let d = Detector.start bus ~watch:[ "s1" ] () in
+  let d = start bus in
   Bus.run ~until:(Bus.now bus +. 10.0) bus;
-  let fast_beats = Detector.beats_emitted d in
   Detector.stop d;
-  let bus2 = Kv.Replica.start ~n:2 (Kv.Replica.load ~n:2) in
-  let d2 = Detector.start bus2 ~watch:[ "s1" ] () in
-  Bus.run ~until:(Bus.now bus2 +. 10.0) bus2;
-  let default_beats = Detector.beats_emitted d2 in
-  Detector.stop d2;
+  (Detector.beats_emitted d, Detector.checks_performed d)
+
+let test_detector_start_defaults () =
+  let default =
+    detector_activity (fun bus -> Detector.start bus ~watch:[ "s1" ] ())
+  in
+  let explicit =
+    detector_activity (fun bus ->
+        Detector.start bus ~period:1.0 ~timeout:3.0 ~threshold:2
+          ~watch:[ "s1" ] ())
+  in
+  Alcotest.(check (pair int int)) "defaults are 1.0 / 3.0 / 2" explicit default;
+  (* halving the period must double the beats *)
+  let fast_beats, _ =
+    detector_activity (fun bus ->
+        Detector.start bus ~period:0.5 ~watch:[ "s1" ] ())
+  in
+  let default_beats = fst default in
   Alcotest.(check bool)
     (Printf.sprintf "%d beats at period 0.5 vs %d at default" fast_beats
        default_beats)
@@ -110,9 +125,11 @@ let test_detector_uses_bus_config () =
 let test_replace_inside_heartbeat_interval () =
   let bus, group, lg = deploy ~n:2 () in
   (* slow heartbeats: the whole per-slot upgrade fits inside one period *)
-  Bus.set_detector_config bus
-    { Bus.dc_period = 30.0; dc_timeout = 90.0; dc_threshold = 2 };
-  let sup = Supervisor.start bus ~watch:(List.map snd group) () in
+  let watch = List.map snd group in
+  let detector =
+    Detector.start bus ~period:30.0 ~timeout:90.0 ~threshold:2 ~watch ()
+  in
+  let sup = Supervisor.start bus ~detector ~watch () in
   let cfg =
     { (quick_cfg ~target:"rstorev2") with
       rc_drain_timeout = 2.0;
@@ -312,7 +329,7 @@ let test_ctl_crash_mid_wave_recovers () =
   let mem = Storage.memory () in
   Bus.set_wal bus (ok_exn (Wal.create (Storage.storage_of_mem mem)));
   (* die inside the second slot's replace: slot 1 is durably done *)
-  Bus.arm_ctl_crash bus ~after:9;
+  Control.arm_crash (Bus.control bus) ~after:9;
   (match
      Rolling.run bus
        (quick_cfg ~target:"rstorev2")
@@ -323,12 +340,12 @@ let test_ctl_crash_mid_wave_recovers () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wave survived an armed controller crash");
-  Alcotest.(check bool) "controller down" true (Bus.controller_down bus);
+  Alcotest.(check bool) "controller down" true (Control.down (Bus.control bus));
   (* controller memory is gone: reopen the log from (synced) storage *)
   Storage.crash mem;
   Bus.set_wal bus (ok_exn (Wal.create (Storage.storage_of_mem mem)));
-  let _report, waves = ok_exn (Rolling.recover bus) in
-  (match waves with
+  let report = ok_exn (Rolling.recover bus) in
+  (match report.Recovery.rp_waves with
   | [ w ] ->
     Alcotest.(check bool) "wave reported open" true
       (w.Recovery.wv_status = Recovery.Wave_open);
@@ -368,15 +385,92 @@ let test_wave_records_survive_in_recovery_scan () =
   in
   Alcotest.(check bool) "committed" true report.Rolling.rp_committed;
   (* the committed wave's records are still scannable before checkpoint *)
-  (match Recovery.waves wal with
-  | Ok [ w ] ->
+  (match Recovery.scan wal with
+  | Ok { Recovery.waves = [ w ]; _ } ->
     Alcotest.(check bool) "committed status" true
       (w.Recovery.wv_status = Recovery.Wave_committed);
     Alcotest.(check int) "both slots durably done" 2
       (List.length w.Recovery.wv_done)
-  | Ok ws -> Alcotest.failf "%d wave(s), expected 1" (List.length ws)
+  | Ok { Recovery.waves; _ } ->
+    Alcotest.failf "%d wave(s), expected 1" (List.length waves)
   | Error e -> Alcotest.fail e);
   check_accounting (finish bus lg)
+
+(* Regression: a continuation of the crashed controller must stay
+   silent after recovery, not only until it. The wave [drc roll] runs
+   dies on its 5th control-log append, inside the first replica's
+   replace; recovery rolls that script back. The dead controller's
+   replace deadline is still scheduled. Were it fenced only by "the
+   controller is down", it would fire once recovery restarted the
+   controller and undo the script a second time — behind the recovery
+   checkpoint, where the script's Begin no longer is. *)
+let test_ghost_continuation_after_recovery () =
+  let n = 3 in
+  let bus =
+    match
+      Dynrecon.System.start (Kv.Replica.load ~n) ~app:"rgroup"
+        ~hosts:(Kv.Replica.hosts ~n) ~default_host:"rh1" ()
+    with
+    | Ok bus -> bus
+    | Error e -> Alcotest.fail e
+  in
+  let wal = ok_exn (Wal.create (Storage.storage_of_mem (Storage.memory ()))) in
+  Bus.set_wal bus wal;
+  Faults.install bus ~seed:1 (Faults.plan ~ctl_crash:5 ());
+  let group = Kv.Replica.group ~n in
+  let lg =
+    Kv.Loadgen.start bus
+      { Kv.Loadgen.default_conf with lc_rate = 4.0; lc_duration = 500.0 }
+      ~slots:group
+  in
+  Bus.run ~until:10.0 bus;
+  let cfg =
+    { (Rolling.default_config ~target:"rstorev2") with
+      rc_drain_timeout = 6.0;
+      rc_canary_window = 8.0;
+      rc_backoff = 2.0 }
+  in
+  (match
+     Rolling.run bus cfg ~group
+       ~on_retarget:(fun ~slot ~instance ->
+         Kv.Loadgen.retarget lg ~slot ~instance)
+       ()
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "wave survived an armed controller crash");
+  let replayed =
+    match Recovery.scan wal with
+    | Ok { Recovery.scripts; _ } ->
+      List.filter_map
+        (fun (s : Recovery.script) ->
+          match s.sc_status with
+          | Recovery.In_flight | Recovery.Rolling_back _ -> Some s.sc_sid
+          | Recovery.Committed | Recovery.Aborted -> None)
+        scripts
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "the crash left a script to replay" true
+    (replayed <> []);
+  ignore (ok_exn (Rolling.recover bus) : Recovery.report);
+  let checkpoint = Wal.checkpoint_lsn wal in
+  Kv.Loadgen.stop lg;
+  Bus.run ~until:(Bus.now bus +. 30.0) bus;
+  (match Recovery.scan wal with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "log after recovery: %s" e);
+  (match Wal.check_invariants wal with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "WAL invariants: %s" e);
+  List.iter
+    (fun (lsn, kind, body) ->
+      match Dr_reconfig.Persist.decode ~kind body with
+      | Ok r
+        when lsn >= checkpoint
+             && List.mem (Dr_reconfig.Persist.sid_of r) replayed ->
+        Alcotest.failf "lsn %d: %s after the recovery checkpoint" lsn
+          (Dr_reconfig.Persist.describe r)
+      | _ -> ())
+    (Wal.records wal)
 
 (* ------------------------------------------------------- validation *)
 
@@ -400,7 +494,8 @@ let () =
   Alcotest.run "rolling"
     [ ( "detector-config",
         [ Alcotest.test_case "validation" `Quick test_detector_config_validation;
-          Alcotest.test_case "bus tunables" `Quick test_detector_uses_bus_config;
+          Alcotest.test_case "start defaults" `Quick
+            test_detector_start_defaults;
           Alcotest.test_case "replace inside one heartbeat" `Quick
             test_replace_inside_heartbeat_interval ] );
       ( "drain",
@@ -419,7 +514,9 @@ let () =
         [ Alcotest.test_case "ctl crash mid-wave recovers" `Quick
             test_ctl_crash_mid_wave_recovers;
           Alcotest.test_case "wave records scan" `Quick
-            test_wave_records_survive_in_recovery_scan ] );
+            test_wave_records_survive_in_recovery_scan;
+          Alcotest.test_case "no ghost continuation after recovery" `Quick
+            test_ghost_continuation_after_recovery ] );
       ( "validation",
         [ Alcotest.test_case "bad config rejected" `Quick
             test_run_rejects_bad_config ] ) ]

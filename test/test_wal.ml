@@ -14,6 +14,7 @@
    performed on the same prefix. *)
 
 module Bus = Dr_bus.Bus
+module Control = Dr_bus.Control
 module Faults = Dr_bus.Faults
 module Script = Dr_reconfig.Script
 module Journal = Dr_reconfig.Journal
@@ -378,7 +379,7 @@ let deadline_trial ?ctl_crash () =
         Script.replace bus ~instance:"c" ~new_instance:"c2" ~deadline:0.001
           ~retry:Script.no_retry ~on_done ())
   in
-  let crashed = Bus.controller_down bus in
+  let crashed = Control.down (Bus.control bus) in
   if crashed then begin
     Storage.crash mem;
     Bus.set_wal bus (ok (reopen mem));
@@ -479,7 +480,7 @@ let test_crash_mid_script_rolls_back () =
   List.iter
     (fun n ->
       let bus, mem, before, _ = trial ~ctl_crash:n () in
-      Alcotest.(check bool) "controller died" true (Bus.controller_down bus);
+      Alcotest.(check bool) "controller died" true (Control.down (Bus.control bus));
       Storage.crash mem;
       Bus.set_wal bus (ok (reopen mem));
       (match Recovery.replay bus with
@@ -517,7 +518,7 @@ let test_crash_after_commit_keeps_replacement () =
          Script.replace bus ~instance:"c" ~new_instance:"c2" ~deadline:25.0
            ~retry:Script.no_retry ~on_done ()));
   Alcotest.(check bool) "controller died on the commit append" true
-    (Bus.controller_down bus);
+    (Control.down (Bus.control bus));
   Storage.crash mem;
   Bus.set_wal bus (ok (reopen mem));
   (match Recovery.replay bus with
@@ -593,7 +594,7 @@ let test_precopy_delta_logged_and_recovered () =
   List.iter
     (fun n ->
       let bus, mem, before, _ = precopy_trial ~ctl_crash:n () in
-      Alcotest.(check bool) "controller died" true (Bus.controller_down bus);
+      Alcotest.(check bool) "controller died" true (Control.down (Bus.control bus));
       Storage.crash mem;
       Bus.set_wal bus (ok (reopen mem));
       (match Recovery.replay bus with
