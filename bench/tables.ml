@@ -186,8 +186,11 @@ let fig5_script () =
   print_table [ "t"; "event"; "detail" ]
     (List.filter_map
        (fun (e : Dr_sim.Trace.entry) ->
-         if List.mem e.category interesting && e.time > 0.0 then
-           Some [ Printf.sprintf "%.2f" e.time; e.category; e.detail ]
+         let category = Dr_sim.Trace.category e.event in
+         if List.mem category interesting && e.time > 0.0 then
+           Some
+             [ Printf.sprintf "%.2f" e.time; category;
+               Dr_sim.Trace.detail e.event ]
          else None)
        (Dr_sim.Trace.entries (Bus.trace bus)))
 

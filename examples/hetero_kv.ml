@@ -52,7 +52,8 @@ let () =
   print_endline "\nstate-image traffic:";
   List.iter
     (fun (e : Dr_sim.Trace.entry) ->
-      if e.category = "state" then Printf.printf "  [%7.1f] %s\n" e.time e.detail)
+      if Dr_sim.Trace.category e.event = "state" then
+        Printf.printf "  [%7.1f] %s\n" e.time (Dr_sim.Trace.detail e.event))
     (Dr_sim.Trace.entries (Bus.trace bus));
   (* demonstrate the word-size hazard: a 64-bit-only value cannot move to
      a 32-bit architecture *)

@@ -185,10 +185,8 @@ let set_wal t w = Control.set_wal t.control w
 let find_host t name =
   List.find_opt (fun h -> String.equal h.host_name name) t.bus_hosts
 
-let record t category fmt =
-  Format.kasprintf
-    (fun detail -> Trace.record t.trace ~time:(now t) ~category ~detail)
-    fmt
+let emit t event = Trace.record t.trace ~time:(now t) event
+let note t category fmt = Trace.notef t.trace ~time:(now t) category fmt
 
 (* invariant: [t.live] holds exactly the processes with [p_alive];
    [kill] removes its entry, so halted/crashed machines stay findable
@@ -245,27 +243,27 @@ let quarantine_image t ~instance ~reason ~byte_size =
     { q_time = now t; q_instance = instance; q_reason = reason;
       q_byte_size = byte_size }
     :: t.quarantine_rev;
-  record t "quarantine" "image from %s quarantined (%d byte(s)): %s" instance
+  note t "quarantine" "image from %s quarantined (%d byte(s)): %s" instance
     byte_size reason
 
 let quarantined t = List.rev t.quarantine_rev
 
 let crash_process t ~instance ~reason =
   match find_proc t instance with
-  | None -> record t "audit" "crash injection ignored: no instance %s" instance
+  | None -> note t "audit" "crash injection ignored: no instance %s" instance
   | Some p -> (
     match Machine.status p.p_machine with
     | Machine.Halted | Machine.Crashed _ -> ()
     | _ ->
       Machine.force_crash p.p_machine reason;
-      record t "crash" "%s crashed: %s" p.p_instance reason)
+      emit t (Crashed { instance = p.p_instance; reason }))
 
 let crash_host t ~host =
   if host_is_down t host then
-    record t "audit" "host crash ignored: %s already down" host
+    note t "audit" "host crash ignored: %s already down" host
   else begin
     Hashtbl.replace t.down_hosts host ();
-    record t "fault" "host %s crashed" host;
+    note t "fault" "host %s crashed" host;
     List.iter
       (fun p ->
         if p.p_alive && String.equal p.p_host.host_name host then begin
@@ -276,7 +274,7 @@ let crash_host t ~host =
           in
           Hashtbl.iter (fun _ q -> Queue.clear q) p.p_queues;
           if dropped > 0 then
-            record t "queue" "%s lost %d queued message(s) in host crash"
+            note t "queue" "%s lost %d queued message(s) in host crash"
               p.p_instance dropped
         end)
       (List.rev t.procs_rev)
@@ -285,9 +283,9 @@ let crash_host t ~host =
 let recover_host t ~host =
   if host_is_down t host then begin
     Hashtbl.remove t.down_hosts host;
-    record t "fault" "host %s recovered" host
+    note t "fault" "host %s recovered" host
   end
-  else record t "audit" "host recovery ignored: %s is up" host
+  else note t "audit" "host recovery ignored: %s is up" host
 
 (* ------------------------------------------------------------ programs *)
 
@@ -407,9 +405,9 @@ and run_quantum t p =
     | Machine.Blocked_read _ | Machine.Blocked_decode ->
       (* parked: woken by message/state arrival *)
       ()
-    | Machine.Halted -> record t "halt" "%s halted" p.p_instance
-    | Machine.Crashed message ->
-      record t "crash" "%s crashed: %s" p.p_instance message
+    | Machine.Halted -> note t "halt" "%s halted" p.p_instance
+    | Machine.Crashed reason ->
+      emit t (Crashed { instance = p.p_instance; reason })
   end
 
 (* a sleeping machine wakes by an event that readies it and schedules
@@ -443,7 +441,7 @@ let add_route t ~src ~dst =
   if not (List.exists (endpoint_equal dst) bucket) then begin
     Hashtbl.replace t.route_index src (bucket @ [ dst ]);
     t.routes_rev <- (src, dst) :: t.routes_rev;
-    record t "bind" "add %s.%s -> %s.%s" (fst src) (snd src) (fst dst) (snd dst)
+    note t "bind" "add %s.%s -> %s.%s" (fst src) (snd src) (fst dst) (snd dst)
   end
 
 let del_route t ~src ~dst =
@@ -454,7 +452,7 @@ let del_route t ~src ~dst =
     List.filter
       (fun (s, d) -> not (endpoint_equal s src && endpoint_equal d dst))
       t.routes_rev;
-  record t "bind" "del %s.%s -> %s.%s" (fst src) (snd src) (fst dst) (snd dst)
+  note t "bind" "del %s.%s -> %s.%s" (fst src) (snd src) (fst dst) (snd dst)
 
 let routes_from t src = index_bucket t src
 
@@ -497,13 +495,13 @@ let set_drain_group t ~members =
 let mark_draining t ~instance =
   if not (Hashtbl.mem t.draining instance) then begin
     Hashtbl.replace t.draining instance ();
-    record t "drain" "%s draining: new deliveries shed to siblings" instance
+    note t "drain" "%s draining: new deliveries shed to siblings" instance
   end
 
 let clear_draining t ~instance =
   if Hashtbl.mem t.draining instance then begin
     Hashtbl.remove t.draining instance;
-    record t "drain" "%s admitting again" instance
+    note t "drain" "%s admitting again" instance
   end
 
 let is_draining t ~instance = Hashtbl.mem t.draining instance
@@ -570,7 +568,7 @@ let drain_redirect t dst =
         m_incr t
           ~labels:[ ("from", instance); ("to", target) ]
           "bus.drain_redirect";
-        record t "drain" "redirect %s.%s -> %s.%s (draining)" instance iface
+        note t "drain" "redirect %s.%s -> %s.%s (draining)" instance iface
           target iface;
         (target, iface)
       | Some _ | None -> dst
@@ -588,10 +586,10 @@ let deliver_k t kind ~dst value =
   match find_proc t instance with
   | None ->
     m_incr t ~labels:[ ("instance", instance) ] "bus.dropped";
-    record t "drop" "message for dead instance %s.%s" instance iface
+    note t "drop" "message for dead instance %s.%s" instance iface
   | Some p ->
     if host_is_down t p.p_host.host_name then
-      record t "fault" "delivery to %s.%s failed: host %s is down" instance
+      note t "fault" "delivery to %s.%s failed: host %s is down" instance
         iface p.p_host.host_name
     else begin
       m_incr t ~labels:[ ("instance", instance) ] "bus.delivered";
@@ -614,7 +612,7 @@ let copy_queue t ~src ~dst =
     let values = List.of_seq (Queue.to_seq q) in
     Queue.clear q;
     List.iter (fun v -> deliver_k t Transfer ~dst v) values;
-    record t "queue" "cq %s.%s -> %s.%s (%d message(s))" (fst src) (snd src)
+    note t "queue" "cq %s.%s -> %s.%s (%d message(s))" (fst src) (snd src)
       (fst dst) (snd dst) moved
 
 let take_queue t ep =
@@ -638,7 +636,7 @@ let drop_queue t ep =
     let q = queue_of p (snd ep) in
     let dropped = Queue.length q in
     Queue.clear q;
-    record t "queue" "rmq %s.%s (%d message(s))" (fst ep) (snd ep) dropped
+    note t "queue" "rmq %s.%s (%d message(s))" (fst ep) (snd ep) dropped
 
 (* ------------------------------------------------------------- send *)
 
@@ -660,7 +658,7 @@ let deliver_or_redirect t ~src ~dst ~peers value =
         (routes_from t src)
     in
     match rebound with
-    | [] -> record t "drop" "in-flight message from %s.%s lost" (fst src) (snd src)
+    | [] -> note t "drop" "in-flight message from %s.%s lost" (fst src) (snd src)
     | dsts -> List.iter (fun dst -> deliver t ~dst value) dsts)
 
 (* One timed hop from [src] to [dst], subject to the fault hooks: the
@@ -675,11 +673,9 @@ let hop t ~src ~dst ~delay send =
     let delay = delay +. hooks.fh_jitter () in
     match hooks.fh_message ~src ~dst with
     | Deliver -> send delay
-    | Drop ->
-      record t "fault" "injected loss: %s.%s -> %s.%s" (fst src) (snd src)
-        (fst dst) (snd dst)
+    | Drop -> emit t (Lost { src; dst })
     | Duplicate ->
-      record t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src) (snd src)
+      note t "fault" "injected duplicate: %s.%s -> %s.%s" (fst src) (snd src)
         (fst dst) (snd dst);
       send delay;
       send delay)
@@ -692,7 +688,7 @@ let route_message t p iface value =
   let dsts = routes_from t src in
   if dsts = [] then begin
     m_incr t ~labels:[ ("instance", p.p_instance) ] "bus.dropped";
-    record t "drop" "%s.%s has no binding; message discarded" p.p_instance iface
+    note t "drop" "%s.%s has no binding; message discarded" p.p_instance iface
   end
   else
     List.iter
@@ -774,13 +770,13 @@ let instance_io t (p_ref : process option ref) : Dr_interp.Io_intf.t =
       (fun line ->
         let p = the_proc () in
         p.p_outputs <- line :: p.p_outputs;
-        record t "print" "%s: %s" p.p_instance line);
+        emit t (Print { instance = p.p_instance; line }));
     io_now = (fun () -> now t);
     io_encode =
       (fun image ->
         let p = the_proc () in
-        record t "state" "%s divulged %d record(s), %d byte(s)" p.p_instance
-          (Image.depth image) (Image.byte_size image);
+        let records = Image.depth image and bytes = Image.byte_size image in
+        emit t (Divulged { instance = p.p_instance; records; bytes });
         match p.p_on_divulge with
         | Some callback ->
           p.p_on_divulge <- None;
@@ -837,7 +833,7 @@ let spawn t ~instance ~module_name ~host ?spec ?(status = "normal") () =
                 ~resolved:artifact.Dr_interp.Cache.a_resolved program)
         in
         m_incr t ~labels:[ ("instance", instance) ] "bus.spawns";
-        record t "lifecycle" "%s (%s) started on %s as %s" instance module_name
+        note t "lifecycle" "%s (%s) started on %s as %s" instance module_name
           h.host_name status;
         schedule_quantum t p ~delay:0.0;
         Ok ()))
@@ -858,7 +854,7 @@ let spawn_snapshot t ~of_instance ~instance ~host =
           register t ~instance ~module_name:source.p_module ~host:h
             ~spec:source.p_spec (fun io -> Machine.clone source.p_machine ~io)
         in
-        record t "lifecycle" "%s snapshot-cloned as %s on %s" of_instance
+        note t "lifecycle" "%s snapshot-cloned as %s on %s" of_instance
           instance h.host_name;
         (* re-arm scheduling for whatever state the snapshot was in *)
         (match Machine.status p.p_machine with
@@ -871,25 +867,25 @@ let spawn_snapshot t ~of_instance ~instance ~host =
 
 let kill t ~instance =
   match find_proc t instance with
-  | None -> record t "audit" "kill ignored: no instance %s" instance
+  | None -> note t "audit" "kill ignored: no instance %s" instance
   | Some p ->
     p.p_alive <- false;
     p.p_ended <- Some (now t);
     Hashtbl.remove t.live instance;
     m_incr t ~labels:[ ("instance", instance) ] "bus.kills";
-    record t "lifecycle" "%s removed" instance;
+    note t "lifecycle" "%s removed" instance;
     (* a divulge callback armed on a dead instance can never fire; keep
        it from lingering on the dead record *)
     if Option.is_some p.p_on_divulge then begin
       p.p_on_divulge <- None;
-      record t "state" "%s removed with a pending divulge callback; cancelled"
+      note t "state" "%s removed with a pending divulge callback; cancelled"
         instance
     end;
     let dropped =
       Hashtbl.fold (fun _ q acc -> acc + Queue.length q) p.p_queues 0
     in
     if dropped > 0 then
-      record t "queue" "%s removed with %d undelivered message(s)" instance
+      note t "queue" "%s removed with %d undelivered message(s)" instance
         dropped
 
 type roster_entry = {
@@ -965,13 +961,13 @@ let outputs t ~instance =
 
 let wake t ~instance =
   match find_proc t instance with
-  | None -> record t "audit" "wake ignored: no instance %s" instance
+  | None -> note t "audit" "wake ignored: no instance %s" instance
   | Some p -> (
     match Machine.status p.p_machine with
     | Machine.Halted | Machine.Crashed _ ->
       (* set_ready is a no-op on a stopped machine; scheduling a quantum
          for it would be too — make the mismatch auditable instead *)
-      record t "audit" "wake ignored: %s already stopped" instance
+      note t "audit" "wake ignored: %s already stopped" instance
     | _ ->
       Machine.set_ready p.p_machine;
       schedule_quantum t p ~delay:0.0)
@@ -981,7 +977,7 @@ let signal_reconfig t ~instance =
   | None -> ()
   | Some p ->
     m_incr t ~labels:[ ("instance", instance) ] "reconfig.signals";
-    record t "signal" "reconfiguration signal -> %s" instance;
+    emit t (Signal { instance });
     Machine.deliver_signal p.p_machine
 
 let on_divulge t ~instance callback =
@@ -989,7 +985,7 @@ let on_divulge t ~instance callback =
   | None ->
     (* idempotency parity with [wake]/[kill]: arming a callback on a
        removed instance is a quiet no-op, but an auditable one *)
-    record t "audit" "divulge callback for dead instance %s discarded" instance
+    note t "audit" "divulge callback for dead instance %s discarded" instance
   | Some p -> (
     match p.p_divulged with
     | image :: rest ->
@@ -1000,27 +996,27 @@ let on_divulge t ~instance callback =
       | Machine.Halted | Machine.Crashed _ ->
         (* a stopped machine will never divulge; parking the callback
            would wait forever — discard it now, auditable *)
-        record t "audit" "divulge callback for %s discarded: already stopped"
+        note t "audit" "divulge callback for %s discarded: already stopped"
           instance
       | _ -> p.p_on_divulge <- Some callback))
 
 let cancel_divulge t ~instance =
   match find_proc t instance with
-  | None -> record t "audit" "divulge cancel ignored: no instance %s" instance
+  | None -> note t "audit" "divulge cancel ignored: no instance %s" instance
   | Some p ->
     if Option.is_some p.p_on_divulge then begin
       p.p_on_divulge <- None;
-      record t "state" "divulge callback for %s cancelled" instance
+      note t "state" "divulge callback for %s cancelled" instance
     end
 
 let deposit_state t ~instance ?expect image =
   match find_proc t instance with
   | None ->
-    record t "audit" "state image for dead instance %s discarded" instance
+    note t "audit" "state image for dead instance %s discarded" instance
   | Some p -> (
     match Machine.status p.p_machine with
     | Machine.Halted | Machine.Crashed _ ->
-      record t "audit" "state image for %s discarded: already stopped" instance
+      note t "audit" "state image for %s discarded: already stopped" instance
     | _ -> (
       match expect with
       | Some digest when not (Int64.equal digest (Image.digest image)) ->
@@ -1031,7 +1027,7 @@ let deposit_state t ~instance ?expect image =
           ~byte_size:(Image.byte_size image)
       | _ ->
         m_incr t ~labels:[ ("instance", instance) ] "reconfig.state_deposits";
-        record t "state" "state image deposited into %s" instance;
+        emit t (Deposited { instance });
         Machine.feed_image p.p_machine image;
         schedule_quantum t p ~delay:0.0))
 

@@ -37,6 +37,11 @@ val engine : t -> Dr_sim.Engine.t
 val trace : t -> Dr_sim.Trace.t
 val now : t -> float
 
+val emit : t -> Dr_sim.Trace.event -> unit
+val note : t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** Record on the trace at the current time; [note t category fmt ...] is
+    {!Dr_sim.Trace.notef}. *)
+
 val set_metrics : t -> Dr_obs.Metrics.t -> unit
 (** Attach a metrics registry: bus counters (messages routed, drops,
     spawns/kills, reconfiguration signals), an in-flight gauge, and

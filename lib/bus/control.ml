@@ -32,10 +32,7 @@ let create engine trace =
     corrupt_images = Hashtbl.create 4 }
 
 let record t category fmt =
-  Format.kasprintf
-    (fun detail ->
-      Trace.record t.trace ~time:(Engine.now t.engine) ~category ~detail)
-    fmt
+  Trace.notef t.trace ~time:(Engine.now t.engine) category fmt
 
 let set_wal t w = t.wal <- Some w
 let wal t = t.wal

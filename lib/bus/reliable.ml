@@ -66,12 +66,7 @@ type t = {
   mutable cover_all : bool;
 }
 
-let record t fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace t.bus) ~time:(Bus.now t.bus)
-        ~category:"retx" ~detail)
-    fmt
+let record t fmt = Bus.note t.bus "retx" fmt
 
 let ep_pair src dst =
   Printf.sprintf "%s.%s -> %s.%s" (fst src) (snd src) (fst dst) (snd dst)

@@ -36,6 +36,14 @@ type t = {
 let violation m_name fmt =
   Format.kasprintf (fun v_detail -> Some { v_monitor = m_name; v_detail }) fmt
 
+(* The trace entries recorded since the previous call. *)
+let fresh_entries bus =
+  let trace = Bus.trace bus and cursor = ref 0 in
+  fun () ->
+    let fresh = Trace.entries_from trace !cursor in
+    cursor := Trace.length trace;
+    fresh
+
 (* {1 Exactly-once delivery per reliable route}
 
    Counts [Fresh] enqueues per (destination interface, payload) via the
@@ -151,114 +159,72 @@ let epoch_monotonic ~reliable () =
    a replace or supervised restart handed its state to) must be exactly
    1,2,3,…: a reset means a successor started from stale state, a skip
    means two live copies processed concurrently or a deposit landed
-   twice. Lineages are read off the trace: script entries name the
-   replacement successor, supervisor entries the restart successor. *)
+   twice. Lineages are read from the trace's [Replacing] events (the
+   replacement successor) and [Restarted] events (the restart
+   successor). *)
 let no_lost_state ~bus () =
   let name = "no-lost-state" in
-  let trace = Bus.trace bus in
-  let cursor = ref 0 in
+  let fresh = fresh_entries bus in
   let root : (string, string) Hashtbl.t = Hashtbl.create 8 in
   let last : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let root_of i =
-    match Hashtbl.find_opt root i with Some r -> r | None -> i
-  in
+  let root_of i = Option.value ~default:i (Hashtbl.find_opt root i) in
   let note_rename ~old_i ~new_i =
     if not (Hashtbl.mem root new_i) then
       Hashtbl.replace root new_i (root_of old_i)
   in
-  let find_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      if i + m > n then None
-      else if String.equal (String.sub s i m) sub then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  (* first instance name in a fragment like "c1: cell on mh1" or "c1v
-     complete" *)
-  let leading_name s =
-    let stop = ref (String.length s) in
-    String.iteri (fun j c -> if (c = ':' || c = ' ') && j < !stop then stop := j) s;
-    String.sub s 0 !stop
-  in
-  let scan_entry (e : Trace.entry) =
-    if String.equal e.Trace.category "script" then begin
-      let d = e.Trace.detail in
-      if String.length d > 8 && String.equal (String.sub d 0 8) "replace " then
-        match find_sub d " -> " with
-        | None -> ()
-        | Some i ->
-          let left = String.sub d 8 (i - 8) in
-          let right = String.sub d (i + 4) (String.length d - i - 4) in
-          note_rename ~old_i:(leading_name left) ~new_i:(leading_name right)
-    end
-    else if String.equal e.Trace.category "supervisor" then
-      try
-        Scanf.sscanf e.Trace.detail "restarted %s@ as %s@ on"
-          (fun old_i new_i -> note_rename ~old_i ~new_i)
-      with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
+  let check_print instance line =
+    match Workload.parse_cell_print line with
+    | None -> None
+    | Some (count, _) ->
+      let lineage = root_of instance in
+      let prev = Option.value ~default:0 (Hashtbl.find_opt last lineage) in
+      if count <> prev + 1 then
+        violation name
+          "cell count sequence broke in lineage %s: %d after %d (%s: %s)"
+          lineage count prev instance line
+      else begin
+        Hashtbl.replace last lineage count;
+        None
+      end
   in
   { m_name = name;
     m_step =
       (fun () ->
-        let fresh = Trace.entries_from trace !cursor in
-        cursor := Trace.length trace;
         List.fold_left
           (fun acc (e : Trace.entry) ->
-            scan_entry e;
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if not (String.equal e.Trace.category "print") then None
-              else (
-                match Workload.parse_cell_print e.Trace.detail with
-                | None -> None
-                | Some (count, _) ->
-                  let lineage =
-                    match String.index_opt e.Trace.detail ':' with
-                    | Some i -> root_of (String.sub e.Trace.detail 0 i)
-                    | None -> "?"
-                  in
-                  let prev =
-                    Option.value ~default:0 (Hashtbl.find_opt last lineage)
-                  in
-                  if count <> prev + 1 then
-                    violation name
-                      "cell count sequence broke in lineage %s: %d after %d \
-                       (%s)"
-                      lineage count prev e.Trace.detail
-                  else begin
-                    Hashtbl.replace last lineage count;
-                    None
-                  end))
-          None fresh);
+            match e.event with
+            | Replacing { instance; new_instance; _ } ->
+              note_rename ~old_i:instance ~new_i:new_instance;
+              acc
+            | Restarted { instance; successor; _ } ->
+              note_rename ~old_i:instance ~new_i:successor;
+              acc
+            | Print { instance; line } when Option.is_none acc ->
+              check_print instance line
+            | _ -> acc)
+          None (fresh ()));
     m_final = (fun _ -> None) }
 
 (* {1 Detector false positives are harmless}
 
    A fenced restart of a falsely-suspected instance must never leave
    both the "failed" original and its replacement alive: the whole point
-   of generation fencing is that the loser of that race is dead. Parsed
-   from the supervisor's trace entries. *)
+   of generation fencing is that the loser of that race is dead. The
+   pairs are the trace's [Restarted] events. *)
 let no_double_serve ~bus () =
   let name = "no-double-serve" in
-  let trace = Bus.trace bus in
-  let cursor = ref 0 in
+  let fresh = fresh_entries bus in
   let pairs : (string * string) list ref = ref [] in
   { m_name = name;
     m_step =
       (fun () ->
-        let fresh = Trace.entries_from trace !cursor in
-        cursor := Trace.length trace;
         List.iter
           (fun (e : Trace.entry) ->
-            if String.equal e.Trace.category "supervisor" then
-              try
-                Scanf.sscanf e.Trace.detail "restarted %s@ as %s@ on"
-                  (fun old_i new_i -> pairs := (old_i, new_i) :: !pairs)
-              with Scanf.Scan_failure _ | Failure _ | End_of_file -> ())
-          fresh;
+            match e.event with
+            | Restarted { instance; successor; _ } ->
+              pairs := (instance, successor) :: !pairs
+            | _ -> ())
+          (fresh ());
         let live = Bus.instances bus in
         let is_live i = List.mem i live in
         List.fold_left

@@ -62,12 +62,7 @@ type t = {
   mutable total_checks : int;
 }
 
-let record t fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace t.bus) ~time:(Bus.now t.bus)
-        ~category:"suspect" ~detail)
-    fmt
+let record t fmt = Bus.note t.bus "suspect" fmt
 
 (* Exactly one armed wheel entry per watched, unsuspected instance:
    armed at [watch], re-armed at pop, disarmed while suspected. *)

@@ -51,12 +51,7 @@ let sid t = t.sid
 
 let push t e = t.entries <- e :: t.entries
 
-let record t fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace t.bus) ~time:(Bus.now t.bus)
-        ~category:"rollback" ~detail)
-    fmt
+let record t fmt = Bus.note t.bus "rollback" fmt
 
 (* ----------------------------------------------------------- primitives *)
 
@@ -206,7 +201,7 @@ let restore_instance t ~pfx ~restored ~instance ~module_name ~host ?spec ~image
       | None -> ());
       reinject t.bus ~instance queues;
       Hashtbl.replace restored instance ();
-      record t "%srestored instance %s" pfx instance
+      Bus.emit t.bus (Restored { prefix = pfx; instance })
 
 let undo t ~pfx ~restored = function
   | Added_route (src, dst) ->

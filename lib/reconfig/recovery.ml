@@ -206,12 +206,7 @@ type report = {
   rp_waves : wave list;
 }
 
-let record bus fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace bus) ~time:(Bus.now bus)
-        ~category:"recover" ~detail)
-    fmt
+let record bus fmt = Bus.note bus "recover" fmt
 
 let replay bus =
   let ctl = Bus.control bus in

@@ -91,12 +91,7 @@ type t = {
   mutable gen : int;  (* generation-name counter, wave-unique *)
 }
 
-let record t fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace t.bus) ~time:(Bus.now t.bus)
-        ~category:"rolling" ~detail)
-    fmt
+let record t fmt = Bus.note t.bus "rolling" fmt
 
 let ensure_metrics bus =
   match Bus.metrics bus with

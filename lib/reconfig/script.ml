@@ -119,12 +119,7 @@ type retry = { attempts : int; backoff : float; alt_hosts : string list }
 
 let no_retry = { attempts = 1; backoff = 0.0; alt_hosts = [] }
 
-let record bus fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace bus) ~time:(Bus.now bus)
-        ~category:"script" ~detail)
-    fmt
+let record bus fmt = Bus.note bus "script" fmt
 
 (* The rebinding batch of Fig. 5: for every interface of the old module,
    retarget outgoing and incoming routes to the new instance of the same
@@ -209,8 +204,10 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
         | Some h -> h
         | None -> Option.value ~default:cap0.cap_host new_host
       in
-      record bus "replace %s: %s on %s -> %s: %s on %s" instance
-        cap0.cap_module cap0.cap_host new_instance module_name host;
+      Bus.emit bus
+        (Replacing
+           { instance; old_module = cap0.cap_module; old_host = cap0.cap_host;
+             new_instance; new_module = module_name; new_host = host });
       let t_req = Bus.now bus in
       let t0 = ref t_req in
       let span_attrs =

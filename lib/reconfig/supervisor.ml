@@ -20,12 +20,7 @@ type t = {
   mutable running : bool;
 }
 
-let record t fmt =
-  Format.kasprintf
-    (fun detail ->
-      Dr_sim.Trace.record (Bus.trace t.bus) ~time:(Bus.now t.bus)
-        ~category:"supervisor" ~detail)
-    fmt
+let record t fmt = Bus.note t.bus "supervisor" fmt
 
 let generation base n = Printf.sprintf "%s~%d" base n
 
@@ -72,8 +67,10 @@ let check t base =
               Option.value ~default:"?"
                 (Bus.instance_host t.bus ~instance:next)
             in
-            record t "restarted %s as %s on %s (restart %d of %d)" current
-              next host (n + 1) t.max_restarts;
+            Bus.emit t.bus
+              (Restarted
+                 { instance = current; successor = next; host;
+                   restart = n + 1; max = t.max_restarts });
             Detector.rewatch t.detector ~old_instance:current
               ~new_instance:next;
             Hashtbl.replace t.watched base (next, n + 1);

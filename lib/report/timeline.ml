@@ -5,32 +5,15 @@ let default_events =
   [ "script"; "signal"; "state"; "lifecycle"; "crash"; "fault"; "rollback";
     "supervisor" ]
 
-(* Marker characters drawn on an instance's bar:
-   S — reconfiguration signal delivered
-   D — state divulged
-   R — state deposited (restoration)
-   X — crash
-   L — injected message loss at the sending instance
-   B — instance brought back by a rollback *)
-let marker_of_entry (e : Trace.entry) instance =
-  let starts prefix = String.starts_with ~prefix e.detail in
-  (* instance names can be prefixes of each other (compute, compute'):
-     where the name ends the detail, require exact equality — or, for
-     journal undo lines, which carry a "<label> [i/n]: " prefix, a
-     suffix that starts before the name *)
-  match e.category with
-  | "signal" when String.equal e.detail ("reconfiguration signal -> " ^ instance)
-    ->
-    Some 'S'
-  | "state" when starts (instance ^ " divulged") -> Some 'D'
-  | "state" when String.equal e.detail ("state image deposited into " ^ instance)
-    ->
-    Some 'R'
-  | "crash" when starts (instance ^ " crashed") -> Some 'X'
-  | "fault" when starts ("injected loss: " ^ instance ^ ".") -> Some 'L'
-  | "rollback"
-    when String.ends_with ~suffix:("restored instance " ^ instance) e.detail ->
-    Some 'B'
+(* The glyph an event draws on its instance's lane (the legend under the
+   lanes); a loss marks the sending instance. *)
+let marker : Trace.event -> (string * char) option = function
+  | Signal { instance } -> Some (instance, 'S')
+  | Divulged { instance; _ } -> Some (instance, 'D')
+  | Deposited { instance } -> Some (instance, 'R')
+  | Crashed { instance; _ } -> Some (instance, 'X')
+  | Lost { src = instance, _; _ } -> Some (instance, 'L')
+  | Restored { instance; _ } -> Some (instance, 'B')
   | _ -> None
 
 let render ?(width = 60) ?(events = default_events) bus =
@@ -55,20 +38,24 @@ let render ?(width = 60) ?(events = default_events) bus =
   List.iter
     (fun (r : Bus.roster_entry) ->
       let bar = Bytes.make width ' ' in
-      let start_col = column r.r_started in
-      let end_col =
-        match r.r_ended with Some t -> column t | None -> width - 1
-      in
+      let ended = Option.value ~default:Float.infinity r.r_ended in
+      let start_col = column r.r_started
+      and end_col = column (Float.min ended t_end) in
       for i = start_col to end_col do
         Bytes.set bar i '='
       done;
       Bytes.set bar start_col '[';
       (match r.r_ended with Some _ -> Bytes.set bar end_col ']' | None -> ());
+      (* a name can return (a rollback restores [compute] under its own
+         name): a lane takes only the markers inside its own lifespan *)
       List.iter
         (fun (e : Trace.entry) ->
-          match marker_of_entry e r.r_instance with
-          | Some marker -> Bytes.set bar (column e.time) marker
-          | None -> ())
+          match marker e.event with
+          | Some (instance, glyph)
+            when String.equal instance r.r_instance
+                 && r.r_started <= e.time && e.time <= ended ->
+            Bytes.set bar (column e.time) glyph
+          | _ -> ())
         entries;
       let state =
         match r.r_status with
@@ -84,14 +71,17 @@ let render ?(width = 60) ?(events = default_events) bus =
     \  [ start   ] end   S signal   D divulge   R restore   X crash   L loss  \
     \ B rollback\n";
   let logged =
-    List.filter (fun (e : Trace.entry) -> List.mem e.category events) entries
+    List.filter
+      (fun (e : Trace.entry) -> List.mem (Trace.category e.event) events)
+      entries
   in
   if logged <> [] then begin
     Buffer.add_string buf "\nevents:\n";
     List.iter
       (fun (e : Trace.entry) ->
         Buffer.add_string buf
-          (Printf.sprintf "  [%8.2f] %-10s %s\n" e.time e.category e.detail))
+          (Printf.sprintf "  [%8.2f] %-10s %s\n" e.time
+             (Trace.category e.event) (Trace.detail e.event)))
       logged
   end;
   Buffer.contents buf

@@ -62,12 +62,20 @@ let test_spawn_and_route () =
   Alcotest.(check bool) "consumer halted" true
     (Bus.process_status bus ~instance:"c" = Some Machine.Halted)
 
+let trace_details bus ~category =
+  List.filter_map
+    (fun (e : Dr_sim.Trace.entry) ->
+      if String.equal (Dr_sim.Trace.category e.event) category then
+        Some (Dr_sim.Trace.detail e.event)
+      else None)
+    (Dr_sim.Trace.entries (Bus.trace bus))
+
 let test_unbound_interface_drops () =
   let bus = make_bus () in
   register bus producer;
   spawn bus ~instance:"p" ~module_name:"producer" ~host:"hostA";
   Bus.run bus;
-  let drops = Dr_sim.Trace.by_category (Bus.trace bus) "drop" in
+  let drops = trace_details bus ~category:"drop" in
   Alcotest.(check int) "five dropped" 5 (List.length drops)
 
 let test_fanout () =
@@ -207,11 +215,6 @@ let test_redirect_no_multicast_duplicates () =
   Alcotest.(check int) "surviving destination got no duplicates" 5
     (List.length (Bus.outputs bus ~instance:"d2"))
 
-let trace_details bus ~category =
-  List.map
-    (fun (e : Dr_sim.Trace.entry) -> e.detail)
-    (Dr_sim.Trace.by_category (Bus.trace bus) category)
-
 let test_kill_accounting () =
   let bus = make_bus () in
   register bus consumer;
@@ -285,7 +288,7 @@ let test_crash_is_traced () =
     Alcotest.failf "expected crash, got %s"
       (match s with Some s -> Fmt.str "%a" Machine.pp_status s | None -> "gone"));
   Alcotest.(check int) "crash traced" 1
-    (List.length (Dr_sim.Trace.by_category (Bus.trace bus) "crash"))
+    (List.length (trace_details bus ~category:"crash"))
 
 let test_deterministic_runs () =
   let run () =

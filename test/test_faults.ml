@@ -21,7 +21,8 @@ let contains needle haystack =
 let trace_has bus ~category ~detail =
   List.exists
     (fun (e : Dr_sim.Trace.entry) ->
-      String.equal e.category category && contains detail e.detail)
+      String.equal (Dr_sim.Trace.category e.event) category
+      && contains detail (Dr_sim.Trace.detail e.event))
     (Dr_sim.Trace.entries (Bus.trace bus))
 
 let snapshot bus =
@@ -265,7 +266,8 @@ let test_replace_retries () =
     (List.length
        (List.filter
           (fun (e : Dr_sim.Trace.entry) ->
-            String.equal e.category "rollback" && contains "rolling back" e.detail)
+            String.equal (Dr_sim.Trace.category e.event) "rollback"
+            && contains "rolling back" (Dr_sim.Trace.detail e.event))
           (Dr_sim.Trace.entries (Bus.trace bus))))
 
 let test_replicate_replica_host_down () =

@@ -195,6 +195,87 @@ let replay_stability =
       r.Explorer.rp_violation = None
       && String.equal r.Explorer.rp_end "quiescent")
 
+(* {1 Monitor mutation tests}
+
+   The exploration tests only show that the monitors stay quiet. These
+   feed hand-made event sequences into a small bus and show that
+   no-lost-state and no-double-serve fire on the defects they exist to
+   catch, and stay quiet on the clean sequence. *)
+
+module Bus = Dr_bus.Bus
+module Monitor = Dr_mc.Monitor
+module Trace = Dr_sim.Trace
+
+let small_bus ~live =
+  let bus = Bus.create ~hosts:Dr_mc.Workload.hosts () in
+  let idle = Support.parse "module idle;\nproc main() { }" in
+  (match Bus.register_program bus idle with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "register: %s" e);
+  List.iter
+    (fun instance ->
+      match Bus.spawn bus ~instance ~module_name:"idle" ~host:"mh1" () with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "spawn %s: %s" instance e)
+    live;
+  bus
+
+(* Emit the events one at a time and step the monitor after each, as
+   the explorer does after every transition; the first verdict wins. *)
+let verdict make ~live events =
+  let bus = small_bus ~live in
+  let m : Monitor.t = make ~bus () in
+  List.fold_left
+    (fun acc event ->
+      Bus.emit bus event;
+      let v = m.Monitor.m_step () in
+      if Option.is_some acc then acc else v)
+    None events
+
+let cell instance n =
+  Trace.Print { instance; line = Printf.sprintf "cell %d %d" n (n * 10) }
+
+let replacing instance new_instance =
+  Trace.Replacing
+    { instance; old_module = "cell"; old_host = "mh1"; new_instance;
+      new_module = "cellv2"; new_host = "mh2" }
+
+let restarted instance successor =
+  Trace.Restarted { instance; successor; host = "mh1"; restart = 1; max = 3 }
+
+let check_verdict what ~fires (v : Monitor.violation option) =
+  match (fires, v) with
+  | false, None | true, Some _ -> ()
+  | false, Some v ->
+    Alcotest.failf "%s: %s fired: %s" what v.Monitor.v_monitor
+      v.Monitor.v_detail
+  | true, None -> Alcotest.failf "%s: the monitor stayed quiet" what
+
+let test_no_lost_state_fires () =
+  let run = verdict Monitor.no_lost_state ~live:[] in
+  check_verdict "clean lineage" ~fires:false
+    (run
+       [ cell "c1" 1; cell "c1" 2; replacing "c1" "c1v"; cell "c1v" 3;
+         restarted "c1v" "c1v~1"; cell "c1v~1" 4; cell "c1v~1" 5 ]);
+  check_verdict "count skip" ~fires:true
+    (run [ cell "c1" 1; cell "c1" 3 ]);
+  check_verdict "reset across a replacement" ~fires:true
+    (run [ cell "c1" 1; cell "c1" 2; replacing "c1" "c1v"; cell "c1v" 1 ]);
+  check_verdict "reset across a restart" ~fires:true
+    (run [ cell "c1" 1; cell "c1" 2; restarted "c1" "c1~1"; cell "c1~1" 1 ]);
+  (* without a lineage event the successor counts on its own, so the
+     two resets above fire only because the event joined the lineages *)
+  check_verdict "unrelated instances count apart" ~fires:false
+    (run [ cell "c1" 1; cell "c1" 2; cell "c1v" 1 ])
+
+let test_no_double_serve_fires () =
+  let run ~live = verdict Monitor.no_double_serve ~live in
+  check_verdict "both ends of a restart live" ~fires:true
+    (run ~live:[ "w"; "w~1" ] [ restarted "w" "w~1" ]);
+  check_verdict "only the successor live" ~fires:false
+    (run ~live:[ "w~1" ] [ restarted "w" "w~1" ]);
+  check_verdict "no restart" ~fires:false (run ~live:[ "w"; "w~1" ] [])
+
 let () =
   Alcotest.run "mc"
     [ ( "counterexamples",
@@ -213,5 +294,10 @@ let () =
             test_setup_shares_loaded_system;
           Alcotest.test_case "fault budget finds nothing" `Quick
             test_faults_config_clean ] );
+      ( "monitors",
+        [ Alcotest.test_case "no-lost-state fires on broken lineages" `Quick
+            test_no_lost_state_fires;
+          Alcotest.test_case "no-double-serve fires on two live ends" `Quick
+            test_no_double_serve_fires ] );
       ( "stability",
         [ QCheck_alcotest.to_alcotest replay_stability ] ) ]

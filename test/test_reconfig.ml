@@ -107,10 +107,17 @@ let test_migrate_monitor () =
       (fun (e : Dr_sim.Trace.entry) -> if pred e then Some e.time else None)
       trace
   in
-  let divulge_t =
-    time_of (fun e -> e.category = "state" && e.detail <> "" && String.length e.detail > 7 && String.sub e.detail 0 7 = "compute")
+  let starts_with prefix (e : Dr_sim.Trace.entry) =
+    String.starts_with ~prefix (Dr_sim.Trace.detail e.event)
   in
-  let rebind_t = time_of (fun e -> e.category = "bind" && String.length e.detail > 3 && String.sub e.detail 0 3 = "del") in
+  let divulge_t =
+    time_of (fun e ->
+        Dr_sim.Trace.category e.event = "state" && starts_with "compute" e)
+  in
+  let rebind_t =
+    time_of (fun e ->
+        Dr_sim.Trace.category e.event = "bind" && starts_with "del" e)
+  in
   match divulge_t, rebind_t with
   | Some d, Some r -> Alcotest.(check bool) "divulge before rebind" true (d <= r)
   | _ -> Alcotest.fail "missing trace entries"
@@ -238,7 +245,7 @@ let test_pending_queue_moves () =
      the script waited for the reconfiguration point *)
   let queue_entries =
     List.filter
-      (fun (e : Dr_sim.Trace.entry) -> e.category = "queue")
+      (fun (e : Dr_sim.Trace.entry) -> Dr_sim.Trace.category e.event = "queue")
       (Dr_sim.Trace.entries (Bus.trace bus))
   in
   Alcotest.(check bool) "cq/rmq commands executed" true (queue_entries <> []);
@@ -432,16 +439,14 @@ let test_script_trace_order () =
     in
     go 0 entries
   in
-  let starts_with prefix (e : Dr_sim.Trace.entry) =
-    String.length e.detail >= String.length prefix
-    && String.sub e.detail 0 (String.length prefix) = prefix
+  let is category prefix (e : Dr_sim.Trace.entry) =
+    Dr_sim.Trace.category e.event = category
+    && String.starts_with ~prefix (Dr_sim.Trace.detail e.event)
   in
-  let signal_i =
-    index_of (fun e -> e.category = "signal" && starts_with "reconfiguration" e)
-  in
-  let divulge_i = index_of (fun e -> e.category = "state" && starts_with "compute divulged" e) in
-  let clone_i = index_of (fun e -> e.category = "lifecycle" && starts_with "c2" e) in
-  let removed_i = index_of (fun e -> e.category = "lifecycle" && starts_with "compute removed" e) in
+  let signal_i = index_of (is "signal" "reconfiguration") in
+  let divulge_i = index_of (is "state" "compute divulged") in
+  let clone_i = index_of (is "lifecycle" "c2") in
+  let removed_i = index_of (is "lifecycle" "compute removed") in
   match signal_i, divulge_i, clone_i, removed_i with
   | Some s, Some d, Some c, Some r ->
     Alcotest.(check bool) "signal < divulge < clone < removed" true

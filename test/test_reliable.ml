@@ -25,7 +25,8 @@ let contains needle haystack =
 let trace_has bus ~category ~detail =
   List.exists
     (fun (e : Dr_sim.Trace.entry) ->
-      String.equal e.category category && contains detail e.detail)
+      String.equal (Dr_sim.Trace.category e.event) category
+      && contains detail (Dr_sim.Trace.detail e.event))
     (Dr_sim.Trace.entries (Bus.trace bus))
 
 (* Drain: let every outstanding retransmission land on a fault-free
@@ -346,7 +347,8 @@ let test_disabled_layer_is_inert () =
   Bus.run ~until:20.0 bus;
   Alcotest.(check bool) "no protocol traffic" false
     (List.exists
-       (fun (e : Dr_sim.Trace.entry) -> String.equal e.category "retx")
+       (fun (e : Dr_sim.Trace.entry) ->
+         String.equal (Dr_sim.Trace.category e.event) "retx")
        (Dr_sim.Trace.entries (Bus.trace bus)));
   Alcotest.(check bool) "token history still consecutive" true
     (Ring.history_consecutive (Ring.tap_history bus))

@@ -116,6 +116,50 @@ let test_rollback_marker () =
       (contains (bar_of rendered lane) "B")
   | None -> Alcotest.fail "no compute2 lane"
 
+let test_markers_within_lifespan () =
+  (* the rollback restores compute under its own name, so the trace
+     holds two incarnations of "compute": the first attempt's signal
+     must not land on the restored lane before it starts, nor the
+     retry's signal and divulge on the original lane after it ends *)
+  let system = Dr_workloads.Monitor.load () in
+  let bus = Dr_workloads.Monitor.start system in
+  (match Dr_bus.Faults.parse_plan "corrupt=compute@1" with
+  | Ok (seed, plan) -> Dr_bus.Faults.install bus ~seed plan
+  | Error e -> Alcotest.fail e);
+  Bus.run ~until:12.0 bus;
+  (match
+     Dynrecon.System.migrate bus
+       ~retry:
+         { Dr_reconfig.Script.attempts = 2; backoff = 1.0; alt_hosts = [] }
+       ~instance:"compute" ~new_instance:"compute2" ~new_host:"hostB"
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "migrate: %s" e);
+  Bus.run ~until:(Bus.now bus +. 20.0) bus;
+  let rendered = Timeline.render bus in
+  let roster = Bus.roster bus in
+  Alcotest.(check int) "two compute incarnations" 2
+    (List.length
+       (List.filter
+          (fun (r : Bus.roster_entry) -> r.r_instance = "compute")
+          roster));
+  (* the same column mapping as the renderer's, default width *)
+  let t_end = Float.max (Bus.now bus) 1e-9 in
+  let column time = max 0 (min 59 (int_of_float (time /. t_end *. 59.0))) in
+  let lanes = List.tl (String.split_on_char '\n' rendered) in
+  List.iteri
+    (fun i (r : Bus.roster_entry) ->
+      let bar = bar_of rendered (List.nth lanes i) in
+      let first = column r.r_started in
+      let last = match r.r_ended with Some t -> column t | None -> 59 in
+      String.iteri
+        (fun c glyph ->
+          if (c < first || c > last) && glyph <> ' ' then
+            Alcotest.failf "lane %d (%s): %C at column %d, outside %d..%d" i
+              r.r_instance glyph c first last)
+        bar)
+    roster
+
 let test_empty_bus () =
   let bus = Bus.create ~hosts:Dr_workloads.Monitor.hosts () in
   let rendered = Timeline.render bus in
@@ -146,4 +190,6 @@ let () =
             test_no_cross_instance_marker_bleed;
           Alcotest.test_case "empty bus" `Quick test_empty_bus;
           Alcotest.test_case "crash marker" `Quick test_crash_marker;
-          Alcotest.test_case "rollback marker" `Quick test_rollback_marker ] ) ]
+          Alcotest.test_case "rollback marker" `Quick test_rollback_marker;
+          Alcotest.test_case "markers within lifespan" `Quick
+            test_markers_within_lifespan ] ) ]

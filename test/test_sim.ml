@@ -183,16 +183,45 @@ let test_engine_same_time_fifo () =
   Alcotest.(check (list int)) "fifo within a timestamp" [ 1; 2; 3; 4; 5 ]
     (List.rev !log)
 
+let detail (e : Trace.entry) = Trace.detail e.event
+
 let test_trace_records_and_filters () =
   let t = Trace.create () in
-  Trace.record t ~time:1.0 ~category:"a" ~detail:"one";
-  Trace.record t ~time:2.0 ~category:"b" ~detail:"two";
-  Trace.record t ~time:3.0 ~category:"a" ~detail:"three";
+  Trace.notef t ~time:1.0 "a" "one";
+  Trace.notef t ~time:2.0 "b" "two";
+  Trace.notef t ~time:3.0 "a" "%s" "three";
   Alcotest.(check int) "length" 3 (Trace.length t);
   Alcotest.(check (list string)) "filter a" [ "one"; "three" ]
-    (List.map (fun (e : Trace.entry) -> e.detail) (Trace.by_category t "a"));
-  Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (Trace.length t)
+    (List.filter_map
+       (fun (e : Trace.entry) ->
+         if Trace.category e.event = "a" then Some (detail e) else None)
+       (Trace.entries t))
+
+(* The typed events no golden trace contains: their text must stay
+   exactly what the format strings that recorded them printed. *)
+let test_trace_event_text () =
+  let check event category detail =
+    Alcotest.(check (pair string string))
+      category (category, detail)
+      (Trace.category event, Trace.detail event)
+  in
+  check
+    (Crashed { instance = "b"; reason = "division by zero" })
+    "crash" "b crashed: division by zero";
+  check
+    (Restored
+       { prefix = "replace compute -> c2 [2/2]: "; instance = "compute" })
+    "rollback" "replace compute -> c2 [2/2]: restored instance compute";
+  check
+    (Restarted
+       { instance = "w~1"; successor = "w~2"; host = "hostB"; restart = 2;
+         max = 3 })
+    "supervisor" "restarted w~1 as w~2 on hostB (restart 2 of 3)";
+  let t = Trace.create () in
+  Trace.record t ~time:4.5 (Crashed { instance = "b"; reason = "halt" });
+  Alcotest.(check string) "pp_entry"
+    "[    4.50] crash        b crashed: halt"
+    (Fmt.str "%a" Trace.pp_entry (List.hd (Trace.entries t)))
 
 let test_trace_entries_from () =
   let t = Trace.create () in
@@ -201,20 +230,16 @@ let test_trace_entries_from () =
     for n = 0 to Trace.length t do
       Alcotest.(check (list string))
         (Printf.sprintf "%s: from %d" what n)
-        (List.map
-           (fun (e : Trace.entry) -> e.detail)
-           (List.filteri (fun i _ -> i >= n) all))
-        (List.map (fun (e : Trace.entry) -> e.detail) (Trace.entries_from t n))
+        (List.map detail (List.filteri (fun i _ -> i >= n) all))
+        (List.map detail (Trace.entries_from t n))
     done
   in
-  let record d = Trace.record t ~time:0.0 ~category:"c" ~detail:d in
+  let record d = Trace.notef t ~time:0.0 "c" "%s" d in
   check_all "empty";
   List.iter record [ "a"; "b"; "c"; "d" ];
   check_all "four";
-  Trace.clear t;
-  check_all "cleared";
   List.iter record [ "e"; "f"; "g" ];
-  check_all "after clear"
+  check_all "seven"
 
 let () =
   Alcotest.run "sim"
@@ -248,4 +273,6 @@ let () =
         [ Alcotest.test_case "records and filters" `Quick
             test_trace_records_and_filters;
           Alcotest.test_case "entries from a cursor" `Quick
-            test_trace_entries_from ] ) ]
+            test_trace_entries_from;
+          Alcotest.test_case "typed event text" `Quick test_trace_event_text ]
+      ) ]

@@ -357,7 +357,9 @@ let snapshot bus =
 let rollback_lines bus =
   List.filter_map
     (fun (e : Dr_sim.Trace.entry) ->
-      if String.equal e.category "rollback" then Some e.detail else None)
+      if String.equal (Dr_sim.Trace.category e.event) "rollback" then
+        Some (Dr_sim.Trace.detail e.event)
+      else None)
     (Dr_sim.Trace.entries (Bus.trace bus))
 
 (* Run the ring with a logged controller and a replacement that always
