@@ -3,15 +3,17 @@
 
    Unlike the timing tiers this one is about coverage: it reports how
    large each configuration's reachable space is, how much of the naive
-   enumeration the sleep-set and DPOR tiers shave off, and fails loudly
-   if any monitor fires or if a configuration that is supposed to be
-   exhaustively explorable gets cut by a bound.
+   enumeration DPOR shaves off, and fails loudly if any monitor fires or
+   if a configuration that is supposed to be exhaustively explorable
+   gets cut by a bound.
 
-   The three-mode comparison (the reduction-ratio denominator) runs the
+   Every row explores a configuration of the checked catalogue
+   ({!Dr_mc.Configs.by_name}), so a schedule a row reports replays with
+   [drc mc --repro]. The naive/DPOR pair (the reduction ratio) runs the
    one-request workload: naive enumeration of the two-request one is out
    of reach (hours), which is itself the point of the ratio. The full
    run additionally explores the two-request acceptance configuration
-   exhaustively under DPOR, plus the fault/crash/concurrent-script
+   exhaustively under DPOR, plus the concurrent-script and detector
    configurations. Quick mode (CI, ≤60s) skips the full-only rows; the
    committed BENCH_mc.json always comes from a full run. *)
 
@@ -26,7 +28,12 @@ type row = {
   row_seconds : float;
 }
 
-let explore_row ~config_name cfg mode =
+let explore_row (config_name, mode) =
+  let cfg =
+    match Configs.by_name config_name with
+    | Some cfg -> cfg
+    | None -> invalid_arg ("mc bench: unknown config " ^ config_name)
+  in
   let t0 = Unix.gettimeofday () in
   let r = Explorer.explore ~mode cfg in
   let dt = Unix.gettimeofday () -. t0 in
@@ -133,36 +140,19 @@ let gate_failures rows =
 let all ~quick () =
   Printf.printf "== mc: systematic state-space exploration%s ==\n"
     (if quick then " (quick)" else "");
-  let rows = ref [] in
-  let add row = rows := row :: !rows in
-  let base = Configs.single_replace ~k:1 () in
-  add (explore_row ~config_name:"single-replace" base Explorer.Naive);
-  add (explore_row ~config_name:"single-replace" base Explorer.Sleep);
-  add (explore_row ~config_name:"single-replace" base Explorer.Dpor);
-  add
-    (explore_row ~config_name:"single-replace-faults"
-       (Configs.single_replace ~k:1 ~fault_budget:1 ~depth:200 ())
-       Explorer.Dpor);
-  add
-    (explore_row ~config_name:"single-replace-crash"
-       (Configs.single_replace ~k:1 ~crash_budget:1 ~ctlcrash:true ~depth:200
-          ())
-       Explorer.Dpor);
-  if not quick then begin
-    add
-      (explore_row ~config_name:"single-replace-k2"
-         (Configs.single_replace ~k:2 ())
-         Explorer.Dpor);
-    add
-      (explore_row ~config_name:"double-replace"
-         (Configs.double_replace ~k:1 ())
-         Explorer.Dpor);
-    add
-      (explore_row ~config_name:"detector-restart"
-         (Configs.detector_restart ())
-         Explorer.Dpor)
-  end;
-  let rows = List.rev !rows in
+  let rows =
+    List.map explore_row
+      ([ ("single-replace", Explorer.Naive);
+         ("single-replace", Explorer.Dpor);
+         ("single-replace-faults", Explorer.Dpor);
+         ("single-replace-crash", Explorer.Dpor) ]
+      @
+      if quick then []
+      else
+        [ ("single-replace-k2", Explorer.Dpor);
+          ("double-replace", Explorer.Dpor);
+          ("detector-restart", Explorer.Dpor) ])
+  in
   print_rows rows;
   let fails = gate_failures rows in
   Json_out.write

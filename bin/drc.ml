@@ -842,12 +842,6 @@ let mc_cmd =
       List.iter print_endline Configs.names;
       exit 0
     end;
-    let parse_mode = function
-      | "naive" -> Explorer.Naive
-      | "sleep" -> Explorer.Sleep
-      | "dpor" -> Explorer.Dpor
-      | m -> or_die (Error (Printf.sprintf "unknown mode %S" m))
-    in
     let get_config name =
       match Configs.by_name name with
       | Some cfg -> cfg
@@ -897,7 +891,7 @@ let mc_cmd =
           c_max_execs =
             Option.value max_execs ~default:cfg.Explorer.c_max_execs }
       in
-      let r = Explorer.explore ~mode:(parse_mode mode) cfg in
+      let r = Explorer.explore ~mode cfg in
       Fmt.pr "%a" Explorer.pp_result r;
       List.iter
         (fun ((v : Dr_mc.Monitor.violation), sched) ->
@@ -918,9 +912,11 @@ let mc_cmd =
   in
   let mode_arg =
     Arg.(
-      value & opt string "dpor"
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Reduction tier: naive, sleep, or dpor.")
+      value
+      & opt
+          (enum [ ("naive", Explorer.Naive); ("dpor", Explorer.Dpor) ])
+          Explorer.Dpor
+      & info [ "mode" ] ~docv:"MODE" ~doc:"Reduction tier: naive or dpor.")
   in
   let depth_arg =
     Arg.(

@@ -10,7 +10,6 @@ type stats = {
 type t = {
   m : Machine.t;
   interval : int;
-  cost_per_byte : float;
   mutable last_checkpoint : (Machine.t * int) option;
       (* snapshot and the instruction count at which it was taken *)
   mutable taken : int;
@@ -18,11 +17,13 @@ type t = {
   mutable next_due : int;
 }
 
-let create ~interval ?(cost_per_byte = 0.001) ~io program =
+(* modelled time per snapshotted byte *)
+let cost_per_byte = 0.001
+
+let create ~interval ~io program =
   if interval <= 0 then invalid_arg "Checkpoint.create: interval must be positive";
   { m = Machine.create ~io program;
     interval;
-    cost_per_byte;
     last_checkpoint = None;
     taken = 0;
     bytes_total = 0;
@@ -49,7 +50,7 @@ let stats t =
   { checkpoints_taken = t.taken;
     instructions_run = Machine.instr_count t.m;
     snapshot_bytes_total = t.bytes_total;
-    snapshot_cost = float_of_int t.bytes_total *. t.cost_per_byte }
+    snapshot_cost = float_of_int t.bytes_total *. cost_per_byte }
 
 let rollback t ~io =
   match t.last_checkpoint with

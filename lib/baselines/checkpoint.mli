@@ -17,14 +17,13 @@ type stats = {
   instructions_run : int;
   snapshot_bytes_total : int;  (** sum of state sizes at each snapshot *)
   snapshot_cost : float;
-      (** modelled time cost: bytes × [cost_per_byte] *)
+      (** modelled time cost: 0.001 per snapshotted byte *)
 }
 
 type t
 
 val create :
   interval:int ->
-  ?cost_per_byte:float ->
   io:Dr_interp.Io_intf.t ->
   Dr_lang.Ast.program ->
   t

@@ -71,9 +71,3 @@ val total_retx : t -> int
 
 val total_unacked : t -> int
 
-val retx_wait_to : t -> instance:string -> float
-(** Accumulated retransmission-timer wait on channels towards
-    [instance] — what the bus exposes as
-    {!Bus.transport_retx_wait}. The reconfiguration scripts sample it
-    around the drain phase to report how much of the quiescence wait
-    was really reliable-layer backoff ([drain.retransmit]). *)

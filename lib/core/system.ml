@@ -123,14 +123,14 @@ let instrumented_source t name =
     (fun m -> Dr_lang.Pretty.program_to_string (deployed_program m))
     (find_module t name)
 
-let start t ~app ~hosts ?params ?default_host () =
+let start t ~app ~hosts ?default_host () =
   let* default_host =
     match default_host, hosts with
     | Some h, _ -> Ok h
     | None, first :: _ -> Ok first.Bus.host_name
     | None, [] -> Error "no hosts given"
   in
-  let bus = Bus.create ?params ~hosts () in
+  let bus = Bus.create ~hosts () in
   let* () =
     List.fold_left
       (fun acc m ->
@@ -141,31 +141,25 @@ let start t ~app ~hosts ?params ?default_host () =
   let* () = Dr_bus.Deploy.deploy bus ~config:t.config ~app ~default_host in
   Ok bus
 
-let migrate ?precopy ?deadline ?retry bus ~instance ~new_instance ~new_host =
-  match (deadline, retry) with
-  | None, None ->
-    Dr_reconfig.Script.run_sync bus ~watch:instance (fun ~on_done ->
-        Dr_reconfig.Script.migrate bus ?precopy ~instance ~new_instance
-          ~new_host ~on_done ())
-  | _ ->
-    (* a migration is a replace onto a new host; with a deadline or a
-       retry policy the script handles the non-complying target itself,
-       so no fail-fast watch (see [replace]) *)
-    Dr_reconfig.Script.run_sync bus (fun ~on_done ->
-        Dr_reconfig.Script.replace bus ?precopy ~instance ~new_instance
-          ~new_host ?deadline ?retry ~on_done ())
-
-let replace bus ?precopy ~instance ~new_instance ?new_module ?new_host
-    ?deadline ?retry () =
-  (* with a script-level deadline or retry policy, the script itself
-     handles a non-complying (or crashed) target by rolling back /
-     re-attempting — the fail-fast watch would cut it short *)
+(* With a script-level deadline or retry policy the script itself
+   handles a non-complying (or crashed) target by rolling back or
+   re-attempting, and the fail-fast watch would cut it short. *)
+let run_watched bus ~instance ?deadline ?retry script =
   let watch =
     match (deadline, retry) with
     | None, None -> Some instance
     | _ -> None
   in
-  Dr_reconfig.Script.run_sync bus ?watch (fun ~on_done ->
+  Dr_reconfig.Script.run_sync bus ?watch script
+
+let migrate ?precopy ?deadline ?retry bus ~instance ~new_instance ~new_host =
+  run_watched bus ~instance ?deadline ?retry (fun ~on_done ->
+      Dr_reconfig.Script.migrate bus ?precopy ~instance ~new_instance ~new_host
+        ?deadline ?retry ~on_done ())
+
+let replace bus ?precopy ~instance ~new_instance ?new_module ?new_host
+    ?deadline ?retry () =
+  run_watched bus ~instance ?deadline ?retry (fun ~on_done ->
       Dr_reconfig.Script.replace bus ?precopy ~instance ~new_instance
         ?new_module ?new_host ?deadline ?retry ~on_done ())
 

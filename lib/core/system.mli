@@ -46,7 +46,6 @@ val start :
   t ->
   app:string ->
   hosts:Dr_bus.Bus.host list ->
-  ?params:Dr_bus.Bus.params ->
   ?default_host:string ->
   unit ->
   (Dr_bus.Bus.t, string) result
@@ -65,9 +64,8 @@ val migrate :
   new_instance:string ->
   new_host:string ->
   (string, string) result
-(** [deadline] and [retry] behave as in {!replace} (a migration is a
-    replace onto [new_host]); without them the classic fail-fast watch
-    on [instance] applies. *)
+(** {!replace} onto [new_host], recorded as a ["migrate"] span;
+    [deadline] and [retry] behave as in {!replace}. *)
 
 val replace :
   Dr_bus.Bus.t ->

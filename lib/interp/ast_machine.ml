@@ -643,15 +643,8 @@ let clone t ~io =
 let replace_proc_code t (code : Ir.proc_code) =
   Hashtbl.replace t.code_table code.pc_name code
 
-let create ?(status_attr = "normal") ~io ?code (prog : Ast.program) =
-  (* Copy the (shallow) code table even when shared: replace_proc_code
-     must stay local to one machine. The proc_code values are immutable
-     and shared. *)
-  let code_table =
-    match code with
-    | Some c -> Hashtbl.copy c
-    | None -> Lower.lower_program prog
-  in
+let create ?(status_attr = "normal") ~io (prog : Ast.program) =
+  let code_table = Lower.lower_program prog in
   let globals = Hashtbl.create 16 in
   let t =
     { prog; code_table; globals; stack = []; heap = Hashtbl.create 16;

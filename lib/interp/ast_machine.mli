@@ -20,14 +20,12 @@ type t
 val create :
   ?status_attr:string ->
   io:Io_intf.t ->
-  ?code:(string, Ir.proc_code) Hashtbl.t ->
   Dr_lang.Ast.program ->
   t
 (** Build a machine for [program] (which must typecheck — call
     {!Dr_lang.Typecheck.check} first) and push a frame for [main].
     [status_attr] is what [mh_getstatus()] returns ("normal" by default,
-    "clone" for a module started as a restoration). [code] lets callers
-    share one lowered table across many machines. *)
+    "clone" for a module started as a restoration). *)
 
 val status : t -> status
 

@@ -76,15 +76,12 @@ type t = {
   io : Io_intf.t;
   mutable instrs_executed : int;
   mutable tracer : (string -> int -> Ir.instr -> unit) option;
-  (* Observability timestamps (virtual time, via [io_now]) and counters.
+  (* Observability timestamps (virtual time, via [io_now]).
      Written on the existing state transitions only — reading the clock
      through [io] keeps the machine free of any engine dependency. *)
   mutable signal_handled_at : float option;
   mutable capture_started_at : float option;
   mutable restore_done_at : float option;
-  mutable captures_taken : int;
-  mutable restores_applied : int;
-  mutable frames_rebuilt : int;
   (* Pre-copy dirty tracking (see [cell]): [cur_gen] is the stamp every
      write applies; [base_gen] > 0 arms tracking, and a cell is dirty
      iff [cgen >= base_gen]. Stack alignment: the delta is sound only if
@@ -120,9 +117,6 @@ let signal_handled t = Option.is_some t.handler
 let signal_handled_at t = t.signal_handled_at
 let capture_started_at t = t.capture_started_at
 let restore_done_at t = t.restore_done_at
-let captures_taken t = t.captures_taken
-let restores_applied t = t.restores_applied
-let frames_rebuilt t = t.frames_rebuilt
 
 let current_proc t =
   match t.stack with [] -> None | f :: _ -> Some f.rproc.rp_source.pc_name
@@ -425,7 +419,6 @@ let capture t frame args =
       in
       t.capture_masks <- mask :: t.capture_masks
     end;
-    t.captures_taken <- t.captures_taken + 1;
     t.capture_records <- { Image.location; values } :: t.capture_records
   | _ -> runtime "mh_capture: missing location"
 
@@ -497,7 +490,6 @@ let restore t frame args =
       in
       assign (R.Ralv loc_lv) (Value.Vint record.location);
       List.iter2 assign targets record.values;
-      t.restores_applied <- t.restores_applied + 1;
       if t.restore_records = [] then
         t.restore_done_at <- Some (t.io.io_now ()))
   | _ -> runtime "mh_restore: missing location target"
@@ -603,10 +595,6 @@ let rec exec_instr t frame (instr : R.rinstr) =
     (* resume after the call instruction *)
     frame.pc <- frame.pc + 1;
     let new_frame = make_frame t frame rproc args ret in
-    if t.restore_records <> [] then
-      (* a call made while the restore buffer is non-empty is the restore
-         dispatch rebuilding the activation-record stack *)
-      t.frames_rebuilt <- t.frames_rebuilt + 1;
     t.stack <- new_frame :: t.stack;
     t.depth <- t.depth + 1
   | Rreturn e ->
@@ -848,9 +836,6 @@ let clone t ~io =
     signal_handled_at = t.signal_handled_at;
     capture_started_at = t.capture_started_at;
     restore_done_at = t.restore_done_at;
-    captures_taken = t.captures_taken;
-    restores_applied = t.restores_applied;
-    frames_rebuilt = t.frames_rebuilt;
     cur_gen = t.cur_gen;
     base_gen = t.base_gen;
     base_depth = t.base_depth;
@@ -893,8 +878,7 @@ let create ?(status_attr = "normal") ~io ?resolved (prog : Ast.program) =
       capture_records = []; restore_records = []; divulged_image = None;
       status_attr; io; instrs_executed = 0; tracer = None;
       signal_handled_at = None; capture_started_at = None;
-      restore_done_at = None; captures_taken = 0; restores_applied = 0;
-      frames_rebuilt = 0;
+      restore_done_at = None;
       cur_gen = 1; base_gen = 0; base_depth = 0; min_depth = 0;
       stack_aligned = false; capture_masks = []; delta_masks = None;
       dirty_heap = Hashtbl.create 8; point_hook = None }

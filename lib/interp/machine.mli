@@ -86,16 +86,6 @@ val restore_done_at : t -> float option
 (** When the last restore record was consumed ([mh_restore] emptied the
     buffer). *)
 
-val captures_taken : t -> int
-(** Activation records captured over the machine's lifetime. *)
-
-val restores_applied : t -> int
-(** Restore records consumed by [mh_restore]. *)
-
-val frames_rebuilt : t -> int
-(** Frames pushed by the restore dispatch (calls made while the restore
-    buffer was non-empty). *)
-
 val stack_depth : t -> int
 
 val current_proc : t -> string option

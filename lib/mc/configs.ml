@@ -172,9 +172,10 @@ let detector_restart ?(k = 1) ?(fault_budget = 1) ?(crash_budget = 1)
     c_depth = depth;
     c_max_execs = max_execs }
 
-(* The catalogue must stay in lockstep with the bench rows: a recorded
-   schedule only replays against the exact configuration (same workload
-   size, same budgets) that produced it. *)
+(* The one catalogue: [drc mc] and the bench rows both look
+   configurations up here, so a recorded schedule replays against the
+   exact configuration (same workload size, same budgets) that produced
+   it. *)
 let by_name name =
   match name with
   | "single-replace" -> Some (single_replace ~k:1 ())

@@ -17,12 +17,10 @@
      fault plane for a decision (deliver / drop / duplicate), bounded
      by the configuration's fault budget.
 
-   Reduction, in three switchable tiers ({!mode}):
+   Reduction, in two tiers ({!mode}):
 
    - [Naive]: full enumeration — the denominator of the reported
      reduction ratio;
-   - [Sleep]: sleep sets only — still provably exhaustive over the
-     reachable state space, used for the "explored everything" claim;
    - [Dpor]: sleep sets plus persistent-set seeding by race analysis
      over the event labels' touch sets (the bus's per-route delivery
      dependencies), the default.
@@ -69,7 +67,7 @@ type token =
   | Kill of string  (** adversary: crash this instance *)
   | Ctlcrash  (** adversary: controller dies at its next journal tick *)
 
-type mode = Naive | Sleep | Dpor
+type mode = Naive | Dpor
 
 (* One booted simulation instance, rebuilt from scratch per execution. *)
 type run = {
@@ -109,7 +107,7 @@ type result = {
       (** minimized, replayable schedules *)
 }
 
-let mode_name = function Naive -> "naive" | Sleep -> "sleep" | Dpor -> "dpor"
+let mode_name = function Naive -> "naive" | Dpor -> "dpor"
 
 (* {1 Schedules as text} *)
 
@@ -566,7 +564,6 @@ let run_execution ?(strict = false) ?(forced = []) (st : st option) cfg mode
             in
             match mode with
             | Naive -> others
-            | Sleep -> List.filter (fun t -> not (in_sleep t)) others
             | Dpor ->
               (* adversary moves have no Fire event to race with, so the
                  race analysis never seeds them: seed exhaustively here *)

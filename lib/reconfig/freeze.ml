@@ -1,47 +1,22 @@
 module Bus = Dr_bus.Bus
 module Codec = Dr_state.Codec
-module Machine = Dr_interp.Machine
 
-(* A crashed, halted or removed instance can never reach a
-   reconfiguration point; waiting on one would spin the full event
-   budget while unrelated processes keep generating events. *)
-let doomed bus ~instance =
-  match Bus.process_status bus ~instance with
-  | Some (Machine.Crashed _) | Some Machine.Halted | None -> true
-  | Some _ -> false
-
-let doom_error bus ~instance ~waiting_for =
-  match Bus.process_status bus ~instance with
-  | Some (Machine.Crashed message) ->
-    Some
-      (Printf.sprintf "%s crashed before %s: %s" instance waiting_for message)
-  | Some Machine.Halted ->
-    Some (Printf.sprintf "%s halted before %s" instance waiting_for)
-  | None -> Some (Printf.sprintf "%s was removed before %s" instance waiting_for)
-  | Some _ -> None
-
-let freeze bus ~instance ?(max_events = 1_000_000) () =
+let freeze bus ~instance ?max_events () =
   match Bus.instance_module bus ~instance with
   | None -> Error (Printf.sprintf "no such instance %s" instance)
   | Some _ ->
-    let result = ref None in
-    Bus.on_divulge bus ~instance (fun image -> result := Some image);
-    Bus.signal_reconfig bus ~instance;
-    Bus.run_while bus ~max_events (fun () ->
-        Option.is_none !result && not (doomed bus ~instance));
-    (match !result with
-    | None ->
-      let waiting_for = "reaching a reconfiguration point" in
-      Error
-        (match doom_error bus ~instance ~waiting_for with
-        | Some e -> e
-        | None ->
-          Printf.sprintf
-            "%s did not reach a reconfiguration point within the event budget"
-            instance)
-    | Some image ->
-      Bus.kill bus ~instance;
-      Ok (Codec.encode_abstract image))
+    let frozen = ref Bytes.empty in
+    (* watched: a crashed, halted or removed instance can never reach a
+       reconfiguration point, so the run fails fast instead of spinning
+       the event budget on unrelated processes *)
+    Script.run_sync bus ?max_events ~watch:instance (fun ~on_done ->
+        Bus.on_divulge bus ~instance (fun image ->
+            frozen := Codec.encode_abstract image;
+            on_done (Ok instance));
+        Bus.signal_reconfig bus ~instance)
+    |> Result.map (fun _ ->
+           Bus.kill bus ~instance;
+           !frozen)
 
 let thaw bus ~instance ~module_name ~host ?spec frozen =
   match Codec.decode_abstract frozen with

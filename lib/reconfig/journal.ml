@@ -1,27 +1,7 @@
 module Bus = Dr_bus.Bus
 module Control = Dr_bus.Control
-module Value = Dr_state.Value
-module Image = Dr_state.Image
 
-type entry = Persist.entry =
-  | Added_route of Bus.endpoint * Bus.endpoint
-  | Deleted_route of Bus.endpoint * Bus.endpoint
-  | Moved_queue of { mq_src : Bus.endpoint; mq_dst : Bus.endpoint }
-  | Dropped_queue of Bus.endpoint * Value.t list
-  | Spawned of string
-  | Killed of {
-      k_instance : string;
-      k_module : string;
-      k_host : string;
-      k_spec : Dr_mil.Spec.module_spec option;
-      k_image : Image.t option;
-      k_queues : (string * Value.t list) list;
-    }
-  | Armed_divulge of string
-  | Divulged of { d_cap : Primitives.module_cap; d_image : Image.t }
-  | Renamed_transport of { rt_old : string; rt_new : string; rt_fence : bool }
-  | Precopy_base of { pb_instance : string; pb_image : Image.t }
-  | Divulged_delta of { dd_cap : Primitives.module_cap; dd_delta : Image.delta }
+type entry = Persist.entry
 
 type t = {
   bus : Bus.t;
@@ -71,20 +51,22 @@ let logged_op ?as_logged t entry apply =
       push t entry)
 
 let add_route t ~src ~dst =
-  logged_op t (Added_route (src, dst)) (fun () -> Bus.add_route t.bus ~src ~dst)
+  logged_op t (Persist.Added_route (src, dst)) (fun () ->
+      Bus.add_route t.bus ~src ~dst)
 
 let del_route t ~src ~dst =
-  logged_op t (Deleted_route (src, dst)) (fun () ->
+  logged_op t (Persist.Deleted_route (src, dst)) (fun () ->
       Bus.del_route t.bus ~src ~dst)
 
 let copy_queue t ~src ~dst =
   logged_op t
-    (Moved_queue { mq_src = src; mq_dst = dst })
+    (Persist.Moved_queue { mq_src = src; mq_dst = dst })
     (fun () -> Bus.copy_queue t.bus ~src ~dst)
 
 let drop_queue t ep =
   let values = Bus.peek_queue t.bus ep in
-  logged_op t (Dropped_queue (ep, values)) (fun () -> Bus.drop_queue t.bus ep)
+  logged_op t (Persist.Dropped_queue (ep, values)) (fun () ->
+      Bus.drop_queue t.bus ep)
 
 let spawn t ~instance ~module_name ~host ?spec ?status () =
   (* the one primitive whose bus operation can fail: apply first, log
@@ -94,7 +76,7 @@ let spawn t ~instance ~module_name ~host ?spec ?status () =
   match Bus.spawn t.bus ~instance ~module_name ~host ?spec ?status () with
   | Error _ as e -> e
   | Ok () ->
-    logged_op t (Spawned instance) ignore;
+    logged_op t (Persist.Spawned instance) ignore;
     Ok ()
 
 let instance_queues bus ~instance ~ifaces =
@@ -116,7 +98,7 @@ let kill t ~instance ~module_name ~host ?spec ?image () =
   in
   let k_queues = instance_queues t.bus ~instance ~ifaces in
   logged_op t
-    (Killed
+    (Persist.Killed
        { k_instance = instance;
          k_module = module_name;
          k_host = host;
@@ -126,15 +108,16 @@ let kill t ~instance ~module_name ~host ?spec ?image () =
     (fun () -> Bus.kill t.bus ~instance)
 
 let arm_divulge t ~instance callback =
-  logged_op t (Armed_divulge instance) (fun () ->
+  logged_op t (Persist.Armed_divulge instance) (fun () ->
       Bus.on_divulge t.bus ~instance callback)
 
 let note_precopy_base t ~instance ~image =
   (* no bus operation — the pre-copy snapshot goes to the log so a later
      Divulged_delta can be resolved against it on recovery. Nothing to
      undo: a base that never gains a delta is inert. *)
-  logged_op t (Precopy_base { pb_instance = instance; pb_image = image })
-    (fun () -> ())
+  logged_op t
+    (Persist.Precopy_base { pb_instance = instance; pb_image = image })
+    ignore
 
 let note_divulged ?delta t ~cap ~image =
   (* no bus operation — the record spills the divulged image (its own
@@ -145,9 +128,11 @@ let note_divulged ?delta t ~cap ~image =
      depends on delta resolution. *)
   logged_op
     ?as_logged:
-      (Option.map (fun d -> Divulged_delta { dd_cap = cap; dd_delta = d }) delta)
+      (Option.map
+         (fun d -> Persist.Divulged_delta { dd_cap = cap; dd_delta = d })
+         delta)
     t
-    (Divulged { d_cap = cap; d_image = image })
+    (Persist.Divulged { d_cap = cap; d_image = image })
     ignore
 
 (* Deliberately a complete no-op (no journal entry, no bus call) when
@@ -158,7 +143,7 @@ let note_divulged ?delta t ~cap ~image =
 let rename_transport t ~old_instance ~new_instance ~fence =
   if Bus.has_transport t.bus then
     logged_op t
-      (Renamed_transport
+      (Persist.Renamed_transport
          { rt_old = old_instance; rt_new = new_instance; rt_fence = fence })
       (fun () ->
         Bus.transport_rename t.bus ~old_instance ~new_instance ~fence)
@@ -190,9 +175,11 @@ let restore_instance t ~pfx ~restored ~instance ~module_name ~host ?spec ~image
     record t "%s%s already back in service" pfx instance
   end
   else
-    match
-      Bus.spawn t.bus ~instance ~module_name ~host ?spec ~status:"clone" ()
-    with
+    (* a clone blocks until its image is deposited: only an instance
+       that gets one back may start as a clone; a kill that carried no
+       image (remove_module, replace_stateless) restarts it fresh *)
+    let status = if Option.is_some image then "clone" else "normal" in
+    match Bus.spawn t.bus ~instance ~module_name ~host ?spec ~status () with
     | Error e ->
       record t "%sFAILED to restore instance %s on %s: %s" pfx instance host e
     | Ok () ->
@@ -204,15 +191,15 @@ let restore_instance t ~pfx ~restored ~instance ~module_name ~host ?spec ~image
       Bus.emit t.bus (Restored { prefix = pfx; instance })
 
 let undo t ~pfx ~restored = function
-  | Added_route (src, dst) ->
+  | Persist.Added_route (src, dst) ->
     Bus.del_route t.bus ~src ~dst;
     record t "%sremoved route %s.%s -> %s.%s" pfx (fst src) (snd src) (fst dst)
       (snd dst)
-  | Deleted_route (src, dst) ->
+  | Persist.Deleted_route (src, dst) ->
     Bus.add_route t.bus ~src ~dst;
     record t "%srestored route %s.%s -> %s.%s" pfx (fst src) (snd src)
       (fst dst) (snd dst)
-  | Moved_queue { mq_src; mq_dst } ->
+  | Persist.Moved_queue { mq_src; mq_dst } ->
     (* a script moves queues only at its final instant, so at rollback
        time the destination still holds exactly the moved messages (no
        engine event has fired in between); hand them back *)
@@ -220,40 +207,41 @@ let undo t ~pfx ~restored = function
     List.iter (fun v -> Bus.inject t.bus ~dst:mq_src v) values;
     record t "%sreturned %d message(s) to %s.%s" pfx (List.length values)
       (fst mq_src) (snd mq_src)
-  | Dropped_queue (ep, values) ->
+  | Persist.Dropped_queue (ep, values) ->
     List.iter (fun v -> Bus.inject t.bus ~dst:ep v) values;
     record t "%srefilled %s.%s with %d message(s)" pfx (fst ep) (snd ep)
       (List.length values)
-  | Spawned instance ->
+  | Persist.Spawned instance ->
     Bus.kill t.bus ~instance;
     record t "%sremoved half-started instance %s" pfx instance
-  | Killed { k_instance; k_module; k_host; k_spec; k_image; k_queues } ->
+  | Persist.Killed { k_instance; k_module; k_host; k_spec; k_image; k_queues }
+    ->
     restore_instance t ~pfx ~restored ~instance:k_instance
       ~module_name:k_module ~host:k_host ?spec:k_spec ~image:k_image
       ~queues:k_queues ()
-  | Armed_divulge instance ->
+  | Persist.Armed_divulge instance ->
     Bus.cancel_divulge t.bus ~instance;
     record t "%sdisarmed divulge callback for %s" pfx instance
-  | Renamed_transport { rt_old; rt_new; rt_fence } ->
+  | Persist.Renamed_transport { rt_old; rt_new; rt_fence } ->
     Bus.transport_rename t.bus ~old_instance:rt_new ~new_instance:rt_old
       ~fence:rt_fence;
     record t "%sreturned reliable channels of %s to %s" pfx rt_new rt_old
-  | Precopy_base { pb_instance; _ } ->
+  | Persist.Precopy_base { pb_instance; _ } ->
     (* a snapshot of a still-running instance: nothing was changed *)
     record t "%spre-copy base of %s discarded" pfx pb_instance
-  | Divulged_delta { dd_cap; _ } ->
+  | Persist.Divulged_delta { dd_cap; _ } ->
     (* never in a live journal (note_divulged keeps the full image in
        memory) — only a recovery that failed to resolve the base could
        surface one, and scan rejects that earlier. Nothing sound to
        restore from a bare delta. *)
     record t "%scannot restore %s from an unresolved delta" pfx
       dd_cap.Primitives.cap_instance
-  | Divulged { d_cap; d_image } ->
+  | Persist.Divulged { d_cap; d_image } ->
     (* The target complied: it divulged and is halting — it may even
        still be [Ready], winding down the tail of the quantum that
        divulged, but its continuation is spent either way. Return it to
        service with its own image, unless an earlier undo step (a
-       [Killed] entry) already resurrected it. *)
+       [Persist.Killed] entry) already resurrected it. *)
     let instance = d_cap.Primitives.cap_instance in
     if Hashtbl.mem restored instance then
       record t "%s%s already back in service" pfx instance

@@ -26,36 +26,8 @@
     {!Recovery.replay} then finishes the story. With no log attached every [Wal] interaction vanishes and
     behaviour is byte-identical to the in-memory journal. *)
 
-(** The undo record of one applied primitive ({!Persist.entry},
-    re-exported). *)
-type entry = Persist.entry =
-  | Added_route of Dr_bus.Bus.endpoint * Dr_bus.Bus.endpoint
-  | Deleted_route of Dr_bus.Bus.endpoint * Dr_bus.Bus.endpoint
-  | Moved_queue of {
-      mq_src : Dr_bus.Bus.endpoint;
-      mq_dst : Dr_bus.Bus.endpoint;
-    }
-  | Dropped_queue of Dr_bus.Bus.endpoint * Dr_state.Value.t list
-  | Spawned of string
-  | Killed of {
-      k_instance : string;
-      k_module : string;
-      k_host : string;
-      k_spec : Dr_mil.Spec.module_spec option;
-      k_image : Dr_state.Image.t option;
-      k_queues : (string * Dr_state.Value.t list) list;
-    }
-  | Armed_divulge of string
-  | Divulged of {
-      d_cap : Primitives.module_cap;
-      d_image : Dr_state.Image.t;
-    }
-  | Renamed_transport of { rt_old : string; rt_new : string; rt_fence : bool }
-  | Precopy_base of { pb_instance : string; pb_image : Dr_state.Image.t }
-  | Divulged_delta of {
-      dd_cap : Primitives.module_cap;
-      dd_delta : Dr_state.Image.delta;
-    }
+type entry = Persist.entry
+(** The undo record of one applied primitive. *)
 
 type t
 
@@ -113,8 +85,9 @@ val kill :
   unit ->
   unit
 (** Remove [instance], first snapshotting its queued messages. Undo
-    respawns it (as a clone), re-deposits [image] when given, and
-    re-injects the snapshotted queues. *)
+    respawns it and re-injects the snapshotted queues: as a clone that
+    [image] is re-deposited into when one is given, otherwise as a
+    fresh ("normal") instance. *)
 
 val arm_divulge : t -> instance:string -> (Dr_state.Image.t -> unit) -> unit
 (** {!Dr_bus.Bus.on_divulge} through the journal; undo disarms the

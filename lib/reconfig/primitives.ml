@@ -67,10 +67,6 @@ let rebind bus batch =
       | Remove_queue ep -> Dr_bus.Bus.drop_queue bus ep)
     batch.commands
 
-let objstate_move bus ~old_instance ~deliver () =
-  Dr_bus.Bus.on_divulge bus ~instance:old_instance deliver;
-  Dr_bus.Bus.signal_reconfig bus ~instance:old_instance
-
 let translate_image bus ?for_instance ~src_host ~dst_host image =
   match Dr_bus.Bus.find_host bus src_host, Dr_bus.Bus.find_host bus dst_host with
   | Some src, Some dst -> (
@@ -112,8 +108,3 @@ let translate_image bus ?for_instance ~src_host ~dst_host image =
       result)
   | None, _ -> Error (Printf.sprintf "unknown host %s" src_host)
   | _, None -> Error (Printf.sprintf "unknown host %s" dst_host)
-
-let chg_obj_add bus ~instance ~module_name ~host ?spec ?(status = "normal") () =
-  Dr_bus.Bus.spawn bus ~instance ~module_name ~host ?spec ~status ()
-
-let chg_obj_del bus ~instance = Dr_bus.Bus.kill bus ~instance

@@ -4,8 +4,10 @@
     These are the building blocks scripts are written with: capture the
     current specification of a module ([obj_cap]), prepare and atomically
     apply batches of binding edits ([bind_cap]/[edit_bind]/[rebind]),
-    move divulged state between modules ([objstate_move]), and add or
-    remove module instances ([chg_obj]). *)
+    and push a divulged image through the hosts' wire formats
+    ([translate_image]). The paper's [objstate_move] and [chg_obj] are
+    the journalled {!Journal.arm_divulge}, {!Journal.spawn} and
+    {!Journal.kill}, so that a failed script can undo them. *)
 
 type module_cap = {
   cap_instance : string;
@@ -41,16 +43,6 @@ val rebind : Dr_bus.Bus.t -> bind_batch -> unit
 (** Apply every command in the batch, in order, at one instant of
     virtual time ("the rebinding commands are applied all at once"). *)
 
-val objstate_move :
-  Dr_bus.Bus.t ->
-  old_instance:string ->
-  deliver:(Dr_state.Image.t -> unit) ->
-  unit ->
-  unit
-(** Signal [old_instance] to divulge its state at its next
-    reconfiguration point, and pass the resulting image to [deliver]
-    when it arrives (asynchronously, in virtual time). *)
-
 val translate_image :
   Dr_bus.Bus.t ->
   ?for_instance:string ->
@@ -65,16 +57,3 @@ val translate_image :
     {!Dr_bus.Control.arm_image_corruption} fault corrupts the native bytes
     in flight (the codec's checksum catches it), and any translation
     failure quarantines the image against that instance. *)
-
-val chg_obj_add :
-  Dr_bus.Bus.t ->
-  instance:string ->
-  module_name:string ->
-  host:string ->
-  ?spec:Dr_mil.Spec.module_spec ->
-  ?status:string ->
-  unit ->
-  (unit, string) result
-(** Start a module instance (the script's [mh_chg_obj (new, "add")]). *)
-
-val chg_obj_del : Dr_bus.Bus.t -> instance:string -> unit

@@ -144,6 +144,22 @@ let rebind_batch (cap : P.module_cap) ~new_instance =
     cap.cap_ifaces;
   batch
 
+(* Translate [image] for [dst_host] and check end to end that the
+   digest taken at capture survived encode/translate/decode; a mismatch
+   quarantines the image against [instance]. *)
+let translate_checked bus ~instance ~src_host ~dst_host image =
+  match
+    P.translate_image bus ~for_instance:instance ~src_host ~dst_host image
+  with
+  | Error e -> Error (Printf.sprintf "state translation failed: %s" e)
+  | Ok image' when not (Int64.equal (Image.digest image') (Image.digest image))
+    ->
+    Bus.quarantine_image bus ~instance
+      ~reason:"digest mismatch after translation"
+      ~byte_size:(Image.byte_size image');
+    Error "state image digest mismatch after translation"
+  | Ok image' -> Ok image'
+
 (* Transactional replacement: every primitive goes through a {!Journal};
    a failure at any point — spawn error, translation error, deadline
    expiry while the module travels to its reconfiguration point — rolls
@@ -334,9 +350,8 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
             Journal.note_divulged
               ?delta:(match delta_info with Ok (d, _) -> Some d | Error _ -> None)
               j ~cap ~image;
-            (* end-to-end integrity: the digest taken at capture must
-               survive encode/translate/decode, and [deposit_state
-               ~expect] re-verifies it at the restore boundary *)
+            (* [deposit_state ~expect] re-verifies the capture digest
+               at the restore boundary *)
             let d0 = Image.digest image in
             let translated =
               match delta_info with
@@ -354,19 +369,10 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
                      0 image.Image.records)
                   (Image.delta_byte_size d) (Image.byte_size image);
                 Ok (applied, Image.delta_byte_size d)
-              | Error _ -> (
-                match
-                  P.translate_image bus ~for_instance:instance
-                    ~src_host:cap.cap_host ~dst_host:host image
-                with
-                | Error e ->
-                  Error (Printf.sprintf "state translation failed: %s" e)
-                | Ok image' when not (Int64.equal (Image.digest image') d0) ->
-                  Bus.quarantine_image bus ~instance
-                    ~reason:"digest mismatch after translation"
-                    ~byte_size:(Image.byte_size image');
-                  Error "state image digest mismatch after translation"
-                | Ok image' -> Ok (image', Image.byte_size image'))
+              | Error _ ->
+                translate_checked bus ~instance ~src_host:cap.cap_host
+                  ~dst_host:host image
+                |> Result.map (fun image' -> (image', Image.byte_size image'))
             in
             (match translated with
             | Error e -> fail e
@@ -494,9 +500,10 @@ let replace bus ?(span_kind = "replace") ?(precopy = false) ~instance
   in
   attempt 1 ~host_override:None
 
-let migrate bus ?precopy ~instance ~new_instance ~new_host ~on_done () =
+let migrate bus ?precopy ~instance ~new_instance ~new_host ?deadline ?retry
+    ~on_done () =
   replace bus ~span_kind:"migrate" ?precopy ~instance ~new_instance ~new_host
-    ~on_done ()
+    ?deadline ?retry ~on_done ()
 
 let replicate bus ~instance ~replica_instance ?replica_host ~on_done () =
   match P.obj_cap bus ~instance with
@@ -589,8 +596,8 @@ let replicate bus ~instance ~replica_instance ?replica_host ~on_done () =
               on_done (Error e)
             in
             match
-              P.translate_image bus ~for_instance:instance
-                ~src_host:cap.cap_host ~dst_host:replica_host image
+              translate_checked bus ~instance ~src_host:cap.cap_host
+                ~dst_host:replica_host image
             with
             | Error e -> fail e
             | Ok image' -> (
@@ -601,7 +608,8 @@ let replicate bus ~instance ~replica_instance ?replica_host ~on_done () =
               with
               | Error e -> fail e
               | Ok () ->
-                Bus.deposit_state bus ~instance:replica_instance image';
+                Bus.deposit_state bus ~instance:replica_instance
+                  ~expect:(Image.digest image) image';
                 (match sp, Bus.machine bus ~instance:replica_instance with
                 | Some s, Some rm ->
                   let rs =

@@ -86,10 +86,13 @@ val migrate :
   instance:string ->
   new_instance:string ->
   new_host:string ->
+  ?deadline:float ->
+  ?retry:retry ->
   on_done:(outcome -> unit) ->
   unit ->
   unit
-(** Move a module to another machine ([replace] with a new host). *)
+(** Move a module to another machine ([replace] with a new host, under
+    a span of kind ["migrate"]). *)
 
 val replicate :
   Dr_bus.Bus.t ->

@@ -16,7 +16,10 @@ let marker : Trace.event -> (string * char) option = function
   | Restored { instance; _ } -> Some (instance, 'B')
   | _ -> None
 
-let render ?(width = 60) ?(events = default_events) bus =
+(* columns of the bar area *)
+let width = 60
+
+let render ?(events = default_events) bus =
   let buf = Buffer.create 1024 in
   let roster = Bus.roster bus in
   let t_end = Float.max (Bus.now bus) 1e-9 in

@@ -107,26 +107,17 @@ let read_value layout r : Value.t =
 (* Container format. Version 2 ("DRIMG2") wraps the body in a version
    byte and a CRC-32 trailer, so a flipped bit anywhere in transit is
    caught at decode instead of silently restoring garbage state.
-   Version 3 is version 2 plus an opaque metadata string (a metrics
-   snapshot, provenance, ...) between the version byte and the body —
-   emitted only when the caller attaches one, so meta-less encodes stay
-   byte-identical to version 2. Version 1 ("DRIMG1", no version byte,
-   no checksum) is still accepted on decode — images frozen to disk by
-   older builds keep loading. *)
+   Version 1 ("DRIMG1", no version byte, no checksum) is still accepted
+   on decode — images frozen to disk by older builds keep loading. *)
 let magic = "DRIMG2"
 let magic_v1 = "DRIMG1"
 let format_version = 2
-let format_version_meta = 3
 
-let encode_with ?meta layout (image : Image.t) =
+let encode_with layout (image : Image.t) =
   let payload =
     Bin_util.with_buffer @@ fun buf ->
     Bin_util.write_bytes buf magic;
-    (match meta with
-    | None -> Bin_util.write_u8 buf format_version
-    | Some m ->
-      Bin_util.write_u8 buf format_version_meta;
-      write_string layout buf m);
+    Bin_util.write_u8 buf format_version;
     write_string layout buf image.source_module;
     write_int layout buf (List.length image.records);
     List.iter
@@ -185,7 +176,7 @@ let starts_with data prefix =
   Bytes.length data >= String.length prefix
   && String.equal (Bytes.sub_string data 0 (String.length prefix)) prefix
 
-let decode_with_full layout data : Image.t * string option =
+let decode_with layout data : Image.t =
   let ml = String.length magic in
   if starts_with data magic then begin
     let len = Bytes.length data in
@@ -199,35 +190,27 @@ let decode_with_full layout data : Image.t * string option =
     let r = Bin_util.reader payload in
     ignore (Bin_util.read_bytes r ml);
     let version = Bin_util.read_u8 r in
-    let meta =
-      if version = format_version then None
-      else if version = format_version_meta then Some (read_string layout r)
-      else malformed "unsupported image version %d" version
-    in
-    (decode_body layout r, meta)
+    if version <> format_version then
+      malformed "unsupported image version %d" version;
+    decode_body layout r
   end
   else if starts_with data magic_v1 then begin
     let r = Bin_util.reader data in
     ignore (Bin_util.read_bytes r ml);
-    (decode_body layout r, None)
+    decode_body layout r
   end
   else
     malformed "bad magic %S"
       (Bytes.sub_string data 0 (min ml (Bytes.length data)))
-
-let decode_with layout data : Image.t = fst (decode_with_full layout data)
 
 let guarded f =
   try Ok (f ()) with
   | Malformed message -> Error message
   | Bin_util.Truncated -> Error "truncated image"
 
-let encode_abstract ?meta image = encode_with ?meta abstract_layout image
+let encode_abstract image = encode_with abstract_layout image
 
 let decode_abstract data = guarded (fun () -> decode_with abstract_layout data)
-
-let decode_abstract_full data =
-  guarded (fun () -> decode_with_full abstract_layout data)
 
 module Wire = struct
   let write_int buf v = write_int abstract_layout buf v

@@ -15,25 +15,16 @@
     Container format: version 2 ("DRIMG2" magic, version byte, body,
     CRC-32 trailer over everything before it, big-endian). A corrupted
     byte anywhere fails decode with ["checksum mismatch"] instead of
-    restoring garbage. Version 3 additionally carries an opaque
-    metadata string (e.g. a metrics snapshot) between the version byte
-    and the body; it is emitted only when [?meta] is passed, so
-    meta-less images stay byte-identical to version 2. Version 1
-    ("DRIMG1", no version byte or checksum) is still accepted on
-    decode. *)
+    restoring garbage. Version 1 ("DRIMG1", no version byte or
+    checksum) is still accepted on decode; any other version fails with
+    ["unsupported image version N"]. *)
 
 exception Malformed of string
 
-val encode_abstract : ?meta:string -> Image.t -> bytes
-(** [?meta] attaches an opaque string (covered by the checksum) and
-    switches the container to version 3. *)
+val encode_abstract : Image.t -> bytes
 
 val decode_abstract : bytes -> (Image.t, string) result
-(** Accepts versions 1–3; any attached metadata is dropped. *)
-
-val decode_abstract_full : bytes -> (Image.t * string option, string) result
-(** Like {!decode_abstract}, also returning the version-3 metadata
-    ([None] for versions 1 and 2). *)
+(** Accepts versions 1 and 2. *)
 
 (** Abstract-layout wire primitives (big-endian, 64-bit, the same
     encoding the canonical image body uses), exposed for other durable

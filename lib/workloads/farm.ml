@@ -135,10 +135,9 @@ let load () =
   | Ok system -> system
   | Error e -> failwith ("farm: load failed: " ^ e)
 
-let start ?params system =
+let start system =
   match
-    Dynrecon.System.start system ~app:"farm" ~hosts ?params ~default_host:"hostA"
-      ()
+    Dynrecon.System.start system ~app:"farm" ~hosts ~default_host:"hostA" ()
   with
   | Ok bus -> bus
   | Error e -> failwith ("farm: start failed: " ^ e)
@@ -174,8 +173,6 @@ let scale_in bus =
     (* conservative: drop back to 1 active slot; queued jobs at retired
        workers still drain because their routes stay up *)
     Bus.inject bus ~dst:(dispatcher, "ctl") (Dr_state.Value.Vint 1)
-
-let dispatcher_backlog bus ~instance = Bus.pending_messages bus (instance, "jobs")
 
 (* The occupied worker slots form a natural drain group: they serve the
    same jobs, so a draining worker's routed traffic can be absorbed by

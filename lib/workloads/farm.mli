@@ -17,7 +17,7 @@ val job_count : int
 
 val load : unit -> Dynrecon.System.t
 
-val start : ?params:Dr_bus.Bus.params -> Dynrecon.System.t -> Dr_bus.Bus.t
+val start : Dynrecon.System.t -> Dr_bus.Bus.t
 (** Deploys the farm with worker slot 1 occupied (instance [w1]). *)
 
 val scale_out : Dr_bus.Bus.t -> slot:int -> host:string -> (string, string) result
@@ -28,9 +28,6 @@ val scale_out : Dr_bus.Bus.t -> slot:int -> host:string -> (string, string) resu
 val scale_in : Dr_bus.Bus.t -> unit
 (** Lower the dispatcher's active-slot count by one (the highest
     occupied slot stops receiving new jobs; its queue drains). *)
-
-val dispatcher_backlog : Dr_bus.Bus.t -> instance:string -> int
-(** Jobs queued at the dispatcher. *)
 
 val worker_drain_group : Dr_bus.Bus.t -> string list
 (** Register the live workers as a bus drain group

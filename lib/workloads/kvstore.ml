@@ -101,15 +101,12 @@ let load () =
   | Ok system -> system
   | Error e -> failwith ("kvstore: load failed: " ^ e)
 
-let start ?params system =
+let start system =
   match
-    Dynrecon.System.start system ~app:"kv" ~hosts ?params ~default_host:"hostA"
-      ()
+    Dynrecon.System.start system ~app:"kv" ~hosts ~default_host:"hostA" ()
   with
   | Ok bus -> bus
   | Error e -> failwith ("kvstore: start failed: " ^ e)
-
-let encode_set ~key ~value = (key * 1000) + value
 
 let client_got bus =
   List.filter_map
@@ -279,9 +276,9 @@ application rgroup {
     | Ok system -> system
     | Error e -> failwith ("kvstore replica group: load failed: " ^ e)
 
-  let start ?params ~n system =
+  let start ~n system =
     match
-      Dynrecon.System.start system ~app:"rgroup" ~hosts:(hosts ~n) ?params
+      Dynrecon.System.start system ~app:"rgroup" ~hosts:(hosts ~n)
         ~default_host:(host 1) ()
     with
     | Ok bus -> bus

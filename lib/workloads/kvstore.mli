@@ -11,10 +11,7 @@ val hosts : Dr_bus.Bus.host list
 val capacity : int
 
 val load : unit -> Dynrecon.System.t
-val start : ?params:Dr_bus.Bus.params -> Dynrecon.System.t -> Dr_bus.Bus.t
-
-val encode_set : key:int -> value:int -> int
-(** Commands travel as a single integer [key * 1000 + value]. *)
+val start : Dynrecon.System.t -> Dr_bus.Bus.t
 
 val client_got : Dr_bus.Bus.t -> (int * int) list
 (** (key, value) pairs the client printed from [get] replies. *)
@@ -58,11 +55,7 @@ module Replica : sig
 
   val load : n:int -> Dynrecon.System.t
 
-  val start :
-    ?params:Dr_bus.Bus.params ->
-    n:int ->
-    Dynrecon.System.t ->
-    Dr_bus.Bus.t
+  val start : n:int -> Dynrecon.System.t -> Dr_bus.Bus.t
 end
 
 (** Seeded open-loop traffic generator over a {!Replica} group:

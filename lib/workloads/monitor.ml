@@ -130,10 +130,9 @@ let load ?options () =
   | Ok system -> system
   | Error e -> failwith ("monitor: load failed: " ^ e)
 
-let start ?params system =
+let start system =
   match
-    Dynrecon.System.start system ~app:"monitor" ~hosts ?params
-      ~default_host:"hostA" ()
+    Dynrecon.System.start system ~app:"monitor" ~hosts ~default_host:"hostA" ()
   with
   | Ok bus -> bus
   | Error e -> failwith ("monitor: start failed: " ^ e)

@@ -29,10 +29,7 @@ val load : ?options:Dr_transform.Instrument.options -> unit -> Dynrecon.System.t
 (** Load and prepare the monitor system.
     @raise Failure if loading fails (it must not). *)
 
-val start :
-  ?params:Dr_bus.Bus.params ->
-  Dynrecon.System.t ->
-  Dr_bus.Bus.t
+val start : Dynrecon.System.t -> Dr_bus.Bus.t
 (** Deploy application [monitor] on {!hosts}.
     @raise Failure if deployment fails. *)
 

@@ -106,9 +106,9 @@ let load () =
   | Ok system -> system
   | Error e -> failwith ("pipeline: load failed: " ^ e)
 
-let start ?params system =
+let start system =
   match
-    Dynrecon.System.start system ~app:"pipeline" ~hosts ?params
+    Dynrecon.System.start system ~app:"pipeline" ~hosts
       ~default_host:"hostA" ()
   with
   | Ok bus -> bus

@@ -9,7 +9,7 @@ val sources : (string * string) list
 val hosts : Dr_bus.Bus.host list
 
 val load : unit -> Dynrecon.System.t
-val start : ?params:Dr_bus.Bus.params -> Dynrecon.System.t -> Dr_bus.Bus.t
+val start : Dynrecon.System.t -> Dr_bus.Bus.t
 
 val sink_values : Dr_bus.Bus.t -> int list
 (** Values the sink has printed, in order. *)

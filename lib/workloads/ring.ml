@@ -74,10 +74,9 @@ let load () =
   | Ok system -> system
   | Error e -> failwith ("ring: load failed: " ^ e)
 
-let start ?params system =
+let start system =
   match
-    Dynrecon.System.start system ~app:"ring" ~hosts ?params
-      ~default_host:"hostA" ()
+    Dynrecon.System.start system ~app:"ring" ~hosts ~default_host:"hostA" ()
   with
   | Ok bus ->
     (match Bus.spawn bus ~instance:"tap" ~module_name:"tap" ~host:"hostA" () with
@@ -131,10 +130,9 @@ let load_large ~n =
   | Ok system -> system
   | Error e -> failwith ("ring: large load failed: " ^ e)
 
-let start_large ?params ?(tokens = 1) system ~n =
+let start_large ?(tokens = 1) system ~n =
   match
-    Dynrecon.System.start system ~app:"ring" ~hosts ?params
-      ~default_host:"hostA" ()
+    Dynrecon.System.start system ~app:"ring" ~hosts ~default_host:"hostA" ()
   with
   | Ok bus ->
     let tokens = max 1 (min tokens n) in
@@ -164,8 +162,8 @@ let chaos_plan ?(loss = 0.05) ?(dup = 0.0) ?(jitter = 0.0) ?host_crash
   in
   Faults.plan ~events ~rules:[ Faults.rule ~loss ~dup () ] ~jitter ()
 
-let start_chaos ?params ?(seed = 1) ?plan system =
-  let bus = start ?params system in
+let start_chaos ?(seed = 1) ?plan system =
+  let bus = start system in
   Faults.install bus ~seed (Option.value ~default:(chaos_plan ()) plan);
   bus
 
@@ -197,15 +195,6 @@ let bypass_member bus ~instance ~pred ~succ =
   Bus.add_route bus ~src:(pred, "out") ~dst:(succ, "in")
   (* the bypassed member's own out-route stays: a token it holds or has
      queued still drains to [succ] *)
-
-let find_token bus ~members =
-  List.find_map
-    (fun instance ->
-      match Bus.take_queue bus (instance, "in") with
-      | [ Dr_state.Value.Vint v ] -> Some v
-      | [] -> None
-      | _ -> None)
-    members
 
 let tap_history bus =
   List.filter_map int_of_string_opt (Bus.outputs bus ~instance:"tap")

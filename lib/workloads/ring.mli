@@ -15,8 +15,7 @@ val hosts : Dr_bus.Bus.host list
 
 val load : unit -> Dynrecon.System.t
 
-val start :
-  ?params:Dr_bus.Bus.params -> Dynrecon.System.t -> Dr_bus.Bus.t
+val start : Dynrecon.System.t -> Dr_bus.Bus.t
 (** Deploys the 3-member ring a → b → c → a and injects the initial
     token (value 0) into [a]. *)
 
@@ -30,9 +29,7 @@ val members : n:int -> string list
 
 val load_large : n:int -> Dynrecon.System.t
 
-val start_large :
-  ?params:Dr_bus.Bus.params -> ?tokens:int ->
-  Dynrecon.System.t -> n:int -> Dr_bus.Bus.t
+val start_large : ?tokens:int -> Dynrecon.System.t -> n:int -> Dr_bus.Bus.t
 (** Deploy the [n]-member ring and inject [tokens] (default 1) tokens at
     evenly spaced members, so up to [tokens] deliveries are in flight at
     once. *)
@@ -53,7 +50,6 @@ val chaos_plan :
     whether the application survives an unreliable network. *)
 
 val start_chaos :
-  ?params:Dr_bus.Bus.params ->
   ?seed:int ->
   ?plan:Dr_bus.Faults.plan ->
   Dynrecon.System.t ->
@@ -81,10 +77,6 @@ val bypass_member :
 (** Route [pred] around [instance] (first step of safe removal); the
     bypassed member keeps its outgoing route so a token it still holds
     drains to [succ]. *)
-
-val find_token : Dr_bus.Bus.t -> members:string list -> int option
-(** Drain the ring's queues and return the token value, if the token is
-    currently queued (it may instead be inside a member). *)
 
 val tap_history : Dr_bus.Bus.t -> int list
 (** Every token value the tap observer has seen, in order. *)

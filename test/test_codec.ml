@@ -107,39 +107,19 @@ let test_malformed_inputs () =
     Alcotest.(check bool) "differs if decodable" false
       (Image.equal sample_image decoded)
 
-let test_meta_roundtrip () =
-  (* version 3: a metrics snapshot rides along with the image *)
-  let registry = Dr_obs.Metrics.create () in
-  Dr_obs.Metrics.incr registry ~labels:[ ("instance", "compute") ] ~by:7
-    "interp.instructions";
-  Dr_obs.Metrics.observe registry "capture.bytes" 184.0;
-  let snapshot = Dr_obs.Metrics.snapshot_json ~now:42.0 registry in
-  let bytes = Codec.encode_abstract ~meta:snapshot sample_image in
-  Alcotest.(check char) "version byte is 3" '\x03' (Bytes.get bytes 6);
-  (match Codec.decode_abstract_full bytes with
-  | Ok (decoded, Some meta) ->
-    Alcotest.check Support.image "image intact" sample_image decoded;
-    Alcotest.(check string) "meta intact" snapshot meta
-  | Ok (_, None) -> Alcotest.fail "meta lost"
-  | Error e -> Alcotest.failf "decode_abstract_full: %s" e);
-  (* the plain decoder accepts version 3 and drops the meta *)
-  (match Codec.decode_abstract bytes with
-  | Ok decoded -> Alcotest.check Support.image "plain decode" sample_image decoded
-  | Error e -> Alcotest.failf "decode_abstract on v3: %s" e);
-  (* the checksum covers the meta: corrupting it fails decode *)
-  let corrupted = Bytes.copy bytes in
-  Bytes.set corrupted 20 '\xEE';
-  (match Codec.decode_abstract_full corrupted with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "corrupted meta decoded");
-  (* meta-less encodes are unchanged: version 2, no meta reported *)
-  let plain = Codec.encode_abstract sample_image in
-  Alcotest.(check char) "version byte is 2" '\x02' (Bytes.get plain 6);
-  match Codec.decode_abstract_full plain with
-  | Ok (decoded, None) ->
-    Alcotest.check Support.image "v2 via full decoder" sample_image decoded
-  | Ok (_, Some _) -> Alcotest.fail "phantom meta on v2"
-  | Error e -> Alcotest.failf "v2 via full decoder: %s" e
+let test_unsupported_version () =
+  (* a well-checksummed container whose version byte is neither 1 nor 2
+     is refused by name, not parsed *)
+  let v2 = Codec.encode_abstract sample_image in
+  let payload = Bytes.sub v2 0 (Bytes.length v2 - 4) in
+  Bytes.set payload 6 '\x03';
+  let out = Bytes.cat payload (Bytes.create 4) in
+  Bytes.set_int32_be out (Bytes.length payload)
+    (Dr_state.Bin_util.crc32 payload);
+  match Codec.decode_abstract out with
+  | Error e ->
+    Alcotest.(check string) "message" "unsupported image version 3" e
+  | Ok _ -> Alcotest.fail "version 3 decoded"
 
 let test_legacy_v1_decode () =
   (* a version-1 container is the version-2 one minus the version byte
@@ -147,14 +127,9 @@ let test_legacy_v1_decode () =
   let v2 = Codec.encode_abstract sample_image in
   let body = Bytes.sub v2 7 (Bytes.length v2 - 7 - 4) in
   let v1 = Bytes.cat (Bytes.of_string "DRIMG1") body in
-  (match Codec.decode_abstract v1 with
+  match Codec.decode_abstract v1 with
   | Ok decoded -> Alcotest.check Support.image "v1 decodes" sample_image decoded
-  | Error e -> Alcotest.failf "legacy decode: %s" e);
-  match Codec.decode_abstract_full v1 with
-  | Ok (decoded, None) ->
-    Alcotest.check Support.image "v1 via full decoder" sample_image decoded
-  | Ok (_, Some _) -> Alcotest.fail "phantom meta on v1"
-  | Error e -> Alcotest.failf "legacy full decode: %s" e
+  | Error e -> Alcotest.failf "legacy decode: %s" e
 
 let test_empty_image () =
   let empty = Image.empty ~source_module:"nil" in
@@ -292,7 +267,8 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_abstract_roundtrip;
           Alcotest.test_case "deterministic" `Quick test_abstract_deterministic;
           Alcotest.test_case "empty image" `Quick test_empty_image;
-          Alcotest.test_case "meta roundtrip (v3)" `Quick test_meta_roundtrip;
+          Alcotest.test_case "unsupported version" `Quick
+            test_unsupported_version;
           Alcotest.test_case "legacy v1 decode" `Quick test_legacy_v1_decode;
           Alcotest.test_case "malformed" `Quick test_malformed_inputs ] );
       ( "native",

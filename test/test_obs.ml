@@ -188,6 +188,29 @@ let test_migration_span_decomposition () =
   Alcotest.(check bool) "report names the move" true
     (contains "migrate compute -> c2 (hostA => hostB)")
 
+(* A migrate with a script-level deadline or retry policy is still a
+   migrate: one root span of kind "migrate", not "replace". *)
+let test_migrate_span_kind () =
+  let migrate_roots ?deadline ?retry () =
+    let bus = Dr_workloads.Monitor.start (Dr_workloads.Monitor.load ()) in
+    let registry = Metrics.create () in
+    Bus.set_metrics bus registry;
+    Bus.run ~until:12.0 bus;
+    (match
+       Dynrecon.System.migrate ?deadline ?retry bus ~instance:"compute"
+         ~new_instance:"c2" ~new_host:"hostB"
+     with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "migrate: %s" e);
+    List.map Metrics.span_kind (Metrics.roots registry)
+  in
+  Alcotest.(check (list string)) "with a deadline" [ "migrate" ]
+    (migrate_roots ~deadline:50.0 ());
+  Alcotest.(check (list string)) "with a retry policy" [ "migrate" ]
+    (migrate_roots
+       ~retry:{ Script.attempts = 2; backoff = 1.0; alt_hosts = [] }
+       ())
+
 let () =
   Alcotest.run "obs"
     [ ( "instruments",
@@ -202,4 +225,6 @@ let () =
             test_snapshot_deterministic ] );
       ( "end to end",
         [ Alcotest.test_case "migration decomposition" `Quick
-            test_migration_span_decomposition ] ) ]
+            test_migration_span_decomposition;
+          Alcotest.test_case "migrate span kind" `Quick test_migrate_span_kind
+        ] ) ]

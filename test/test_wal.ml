@@ -533,6 +533,59 @@ let test_crash_after_commit_keeps_replacement () =
     (List.mem "c2" (Bus.instances bus)
     && not (List.mem "c" (Bus.instances bus)))
 
+(* A kill that carries no image (remove_module, replace_stateless) is
+   undone by a fresh start: a clone would wait in mh_decode for an image
+   that never comes. Crash the controller at every append up to the
+   script's commit and replay: the instance is then either gone (the
+   script committed) or live and serving. *)
+let imageless_trial script ?ctl_crash () =
+  let module Monitor = Dr_workloads.Monitor in
+  let bus = Monitor.start (Monitor.load ()) in
+  let mem = Storage.memory () in
+  Bus.set_wal bus (ok (Wal.create (Storage.storage_of_mem mem)));
+  (match ctl_crash with
+  | Some n -> Faults.install bus ~seed:1 (Faults.plan ~ctl_crash:n ())
+  | None -> ());
+  Bus.run ~until:10.0 bus;
+  (try script bus with Control.Controller_crash -> ());
+  (bus, mem)
+
+let test_imageless_kill_undo () =
+  let check_script name script =
+    let _, mem = imageless_trial script () in
+    let total = List.length (Wal.records (ok (reopen mem))) in
+    Alcotest.(check bool) (name ^ ": the script logged records") true
+      (total > 2);
+    for n = 1 to total do
+      let bus, mem = imageless_trial script ~ctl_crash:n () in
+      let at = Printf.sprintf "%s, ctlcrash@%d" name n in
+      Alcotest.(check bool) (at ^ ": controller died") true
+        (Control.down (Bus.control bus));
+      Storage.crash mem;
+      Bus.set_wal bus (ok (reopen mem));
+      (match Recovery.replay bus with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: recovery: %s" at e);
+      Bus.run ~until:(Bus.now bus +. 10.0) bus;
+      match Bus.process_status bus ~instance:"compute" with
+      | None when n = total -> ()
+      | None -> Alcotest.failf "%s: compute lost by the rollback" at
+      | Some Dr_interp.Machine.Blocked_decode ->
+        Alcotest.failf "%s: compute restored as a clone with no image" at
+      | Some (Dr_interp.Machine.Crashed e) ->
+        Alcotest.failf "%s: compute crashed after the rollback: %s" at e
+      | Some _ when n = total ->
+        Alcotest.failf "%s: the committed script left compute" at
+      | Some _ -> ()
+    done
+  in
+  check_script "remove_module" (fun bus ->
+      Script.remove_module bus ~instance:"compute");
+  check_script "replace_stateless" (fun bus ->
+      ignore
+        (Script.replace_stateless bus ~instance:"compute"
+           ~new_instance:"compute~1" ~fence:true ()))
+
 (* Pre-copy writes two extra entry kinds to the log: the live base
    snapshot (Precopy_base) and the delta-form divulge (Divulged_delta,
    resolved against the base by digest at scan time). An in-place
@@ -706,6 +759,8 @@ let () =
             test_precopy_delta_logged_and_recovered;
           Alcotest.test_case "crash after commit keeps replacement" `Quick
             test_crash_after_commit_keeps_replacement;
+          Alcotest.test_case "image-less kill undone by a fresh start" `Quick
+            test_imageless_kill_undo;
           Alcotest.test_case "replay is idempotent" `Quick
             test_replay_idempotent;
           Alcotest.test_case "scan rejects orphan records" `Quick
